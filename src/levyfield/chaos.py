@@ -41,6 +41,7 @@ from .noise import LevyModel
 from .solver import (
     SolverConfig,
     TimeGrid,
+    _draw_tape,
     _simulate_system,
     picard_fixed_point,
     simulate_coupled,
@@ -182,7 +183,8 @@ class RateReport:
     """Measured decay against the predicted exponent.
 
     ``estimates`` are replication means of the per-run statistic at each
-    particle count, ``ses`` their across-replication standard errors.
+    particle count, ``ses`` their across-replication standard errors
+    (None each when there is a single replication).
     The verdict compares the fitted slope to ``theoretical + slack``
     (one-sided: faster decay than predicted also passes).
     """
@@ -190,7 +192,7 @@ class RateReport:
     kind: str
     n_values: list[int]
     estimates: list[float]
-    ses: list[float]
+    ses: list[Optional[float]]
     slope: float
     slope_se: float
     theoretical: float
@@ -250,42 +252,53 @@ def weak_poc_replication(
 
     This is the unit of work the job queue distributes; it touches only
     streams addressed by ``replica``, so results are independent of how
-    replications are batched over workers.
+    replications are batched over workers.  The main and fresh tapes are
+    drawn once for the largest particle count; every count reads their
+    prefixes.
     """
     t_idx = _eval_index(grid, poc_cfg.eval_time)
+    tapes = _replication_tapes(coeffs, levy, grid, initial_sampler, max(poc_cfg.n_grid), seed, replica)
     return {
         n: coupling_terms(
             coeffs, levy, grid, initial_sampler, n, seed, replica, reference_flow,
-            solver_cfg, poc_cfg.p, t_idx,
+            solver_cfg, poc_cfg.p, t_idx, tapes=[tape.head(n) for tape in tapes],
         )
         for n in poc_cfg.n_grid
     }
 
 
-def coupling_terms(coeffs, levy, grid, initial_sampler, n, seed, replica, reference_flow, solver_cfg, p, t_idx, common=None):
+def _replication_tapes(coeffs, levy, grid, initial_sampler, n, seed, replica):
+    """Event tapes of a replica's main and fresh-copy stream blocks, ``n`` particles each."""
+    return [
+        _draw_tape(coeffs, levy, grid, StreamContext(seed=seed, experiment=block, replica=replica),
+                   initial_sampler, n)
+        for block in (EXP_MAIN, EXP_FRESH_COPIES)
+    ]
+
+
+def coupling_terms(coeffs, levy, grid, initial_sampler, n, seed, replica, reference_flow, solver_cfg, p, t_idx,
+                   common=None, tapes=None):
     """One (coupling, iid) pair of ``W_p^p`` terms at grid index ``t_idx``.
 
-    Interacting cloud and coupled limit copies share the main streams of
-    ``replica``; the fresh copies use the reserved fresh block.  With
-    ``common`` set, all three runs share that one realization, so the
-    comparison stays inside a single common path.
+    Interacting cloud and coupled limit copies share the tape of the main
+    streams of ``replica``; the fresh copies read the tape of the reserved
+    fresh block.  ``tapes`` passes both in (main, fresh), already cut to
+    ``n`` particles; they are drawn here otherwise.  With ``common`` set,
+    all three runs share that one realization, so the comparison stays
+    inside a single common path.
     """
-    main_ctx = StreamContext(seed=seed, experiment=EXP_MAIN, replica=replica)
+    main, fresh = tapes or _replication_tapes(coeffs, levy, grid, initial_sampler, n, seed, replica)
     inter = _simulate_system(
-        coeffs, levy, grid, main_ctx, n, initial_sampler, solver_cfg,
-        interacting=True, collect_states=True, common=common,
+        coeffs, levy, grid, main, solver_cfg, interacting=True, collect_states=True, common=common,
     )
     limit = _simulate_system(
-        coeffs, levy, grid, main_ctx, n, initial_sampler, solver_cfg,
-        flow=reference_flow, collect_states=True, common=common,
+        coeffs, levy, grid, main, solver_cfg, flow=reference_flow, collect_states=True, common=common,
     )
-    fresh_ctx = StreamContext(seed=seed, experiment=EXP_FRESH_COPIES, replica=replica)
-    fresh = _simulate_system(
-        coeffs, levy, grid, fresh_ctx, n, initial_sampler, solver_cfg,
-        flow=reference_flow, collect_states=True, common=common,
+    copies = _simulate_system(
+        coeffs, levy, grid, fresh, solver_cfg, flow=reference_flow, collect_states=True, common=common,
     )
     coupling = _w_pp(inter.states[t_idx], limit.states[t_idx], p)
-    iid = _w_pp(limit.states[t_idx], fresh.states[t_idx], p)
+    iid = _w_pp(limit.states[t_idx], copies.states[t_idx], p)
     return coupling, iid
 
 
@@ -355,8 +368,8 @@ def coupling_rate_report(
     iids = np.array([[rep[n][1] for rep in replication_results] for n in n_values])
     estimates = totals.mean(axis=1)
     reps = totals.shape[1]
-    ses = totals.std(axis=1, ddof=1) / math.sqrt(reps) if reps > 1 else np.full(len(n_values), np.nan)
-    slope, slope_se = fit_loglog_slope(n_values, estimates, ses if reps > 1 else None)
+    ses = _replication_ses(totals)
+    slope, slope_se = fit_loglog_slope(n_values, estimates, ses)
     theo = phi_rate(poc_cfg.p, coeffs.beta, coeffs.dim)
     passed = slope <= theo + poc_cfg.slack
     details = {
@@ -370,7 +383,7 @@ def coupling_rate_report(
         kind=kind,
         n_values=n_values,
         estimates=estimates.tolist(),
-        ses=ses.tolist(),
+        ses=ses or [None] * len(n_values),
         slope=slope,
         slope_se=slope_se,
         theoretical=theo,
@@ -380,16 +393,27 @@ def coupling_rate_report(
     )
 
 
+def _replication_ses(stats: np.ndarray) -> Optional[list[float]]:
+    """Across-replication standard errors of ``(n_grid, reps)`` statistics; None for one replication."""
+    reps = stats.shape[1]
+    return (stats.std(axis=1, ddof=1) / math.sqrt(reps)).tolist() if reps > 1 else None
+
+
 def strong_poc_replication(
     coeffs, levy, grid, initial_sampler, poc_cfg, solver_cfg, seed, replica, reference_flow
 ) -> dict[int, float]:
-    """Per-replication strong statistic ``mean_i sup_t |gap_i|^(p q1)`` on the n-grid."""
+    """Per-replication strong statistic ``mean_i sup_t |gap_i|^(p q1)`` on the n-grid.
+
+    One tape of the replica's main streams, drawn for the largest count,
+    drives every coupled pair through its prefix.
+    """
+    ctx = StreamContext(seed=seed, experiment=EXP_MAIN, replica=replica)
+    tape = _draw_tape(coeffs, levy, grid, ctx, initial_sampler, max(poc_cfg.n_grid))
     out = {}
     for n in poc_cfg.n_grid:
-        ctx = StreamContext(seed=seed, experiment=EXP_MAIN, replica=replica)
         coupled = simulate_coupled(
             coeffs, n, initial_sampler, levy, grid, ctx, reference_flow, solver_cfg,
-            record_paths=True,
+            record_paths=True, tape=tape.head(n),
         )
         out[n] = float(np.mean(coupled.sup_errors ** (poc_cfg.p * poc_cfg.q1)))
     return out
@@ -429,15 +453,15 @@ def run_strong_poc(
     stats = np.array([[rep[n] for rep in replication_results] for n in n_values])
     estimates = stats.mean(axis=1)
     reps = stats.shape[1]
-    ses = stats.std(axis=1, ddof=1) / math.sqrt(reps) if reps > 1 else np.full(len(n_values), np.nan)
-    slope, slope_se = fit_loglog_slope(n_values, estimates, ses if reps > 1 else None)
+    ses = _replication_ses(stats)
+    slope, slope_se = fit_loglog_slope(n_values, estimates, ses)
     theo = poc_cfg.q1 * phi_rate(poc_cfg.p, coeffs.beta, coeffs.dim)
     passed = slope <= theo + poc_cfg.slack
     return RateReport(
         kind="strong_poc",
         n_values=n_values,
         estimates=estimates.tolist(),
-        ses=ses.tolist(),
+        ses=ses or [None] * len(n_values),
         slope=slope,
         slope_se=slope_se,
         theoretical=theo,

@@ -28,6 +28,7 @@ from .chaos import (
     coupling_rate_report,
     coupling_terms,
     _eval_index,
+    _replication_tapes,
 )
 from .coefficients import CoefficientSet
 from .errors import ConfigurationError, NonConvergenceError
@@ -38,6 +39,7 @@ from .solver import (
     SimResult,
     SolverConfig,
     TimeGrid,
+    _draw_tape,
     _simulate_system,
     resolve_gamma,
 )
@@ -203,20 +205,10 @@ def simulate_common_system(
     config = config or SolverConfig()
     if realization is None:
         realization = sample_common_realization(noise.common, stream_ctx, grid.horizon)
+    tape = _draw_tape(coeffs, noise.idio, grid, stream_ctx, initial_sampler, n, particle_ids)
     sim = _simulate_system(
-        coeffs,
-        noise.idio,
-        grid,
-        stream_ctx,
-        n,
-        initial_sampler,
-        config,
-        interacting=True,
-        common=realization,
-        particle_ids=particle_ids,
-        record_paths=record_paths,
-        collect_clouds=collect_clouds,
-        observer=observer,
+        coeffs, noise.idio, grid, tape, config, interacting=True, common=realization,
+        record_paths=record_paths, collect_clouds=collect_clouds, observer=observer,
     )
     return CommonSimResult(sim=sim, realization=realization)
 
@@ -292,6 +284,7 @@ def conditional_picard(
     Pass ``realizations`` to pin the common paths, or ``k`` to sample
     that many from replica offsets of ``stream_ctx``.  All paths share
     one block of inner streams (initial draws and idiosyncratic noise),
+    read from one event tape (one per pass without ``config.crn``),
     which is common-random-numbers across paths: cross-path spread then
     isolates the common layer's effect, and an event-free common layer
     collapses every path onto the single-layer fixed point bit-exactly.
@@ -315,30 +308,30 @@ def conditional_picard(
     if m < 2:
         raise ConfigurationError(f"conditional clouds need >= 2 member particles, got {m}")
     eta_val = float(eta) if eta is not None else resolve_gamma(config, coeffs)
-    x0 = np.empty((m, coeffs.dim))
-    for i in range(m):
-        x0[i] = initial_sampler(stream_ctx.generator(i, Layer.INIT))
-    initial_cloud = EmpiricalMeasure(x0)
-    if initial_flows is None:
-        flows = [MeasureFlow.constant(grid.times, initial_cloud) for _ in range(k)]
-    else:
+    if initial_flows is not None:
         flows = list(initial_flows)
         if len(flows) != k:
             raise ConfigurationError(f"{k} common paths but {len(flows)} starting flows")
         for fl in flows:
             if not np.array_equal(fl.times, grid.times):
                 raise ConfigurationError("initial flow grid must match the solver grid")
+    tape = _draw_tape(coeffs, noise.idio, grid, stream_ctx, initial_sampler, m)
+    initial_cloud = EmpiricalMeasure(tape.x0)
+    if initial_flows is None:
+        flows = [MeasureFlow.constant(grid.times, initial_cloud) for _ in range(k)]
 
     trace: list[float] = []
     for it in range(config.max_iter):
-        ctx_it = stream_ctx if config.crn else stream_ctx.with_(replica=stream_ctx.replica + it)
-        new_flows = []
-        for j in range(k):
-            res = _simulate_system(
-                coeffs, noise.idio, grid, ctx_it, m, x0, config,
+        if it and not config.crn:
+            ctx_it = stream_ctx.with_(replica=stream_ctx.replica + it)
+            tape = _draw_tape(coeffs, noise.idio, grid, ctx_it, initial_cloud.points, m)
+        new_flows = [
+            _simulate_system(
+                coeffs, noise.idio, grid, tape, config,
                 flow=flows[j], common=realizations[j], collect_clouds=True,
-            )
-            new_flows.append(res.flow)
+            ).flow
+            for j in range(k)
+        ]
         dist = conditional_distance(new_flows, flows, coeffs.beta, eta_val, metric=config.flow_metric)
         trace.append(dist)
         flows = new_flows
@@ -396,12 +389,18 @@ def conditional_poc_replication(
     reference_flow: MeasureFlow,
     realization: CommonRealization,
 ) -> dict[int, tuple[float, float]]:
-    """Coupling and conditional-iid terms along the n-grid for one common path."""
+    """Coupling and conditional-iid terms along the n-grid for one common path.
+
+    Like the weak replication, every particle count reads prefixes of one
+    main and one fresh tape drawn for the largest count.
+    """
     t_idx = _eval_index(grid, poc_cfg.eval_time)
+    tapes = _replication_tapes(coeffs, noise.idio, grid, initial_sampler, max(poc_cfg.n_grid), seed, path_idx)
     return {
         n: coupling_terms(
             coeffs, noise.idio, grid, initial_sampler, n, seed, path_idx,
             reference_flow, solver_cfg, poc_cfg.p, t_idx, common=realization,
+            tapes=[tape.head(n) for tape in tapes],
         )
         for n in poc_cfg.n_grid
     }

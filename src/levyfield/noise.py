@@ -342,7 +342,11 @@ def _draw_poisson_events(gen, t0, t1, band, require_interior=False):
     dt = t1 - t0
     if band is None or band.rate == 0.0 or dt <= 0.0:
         return np.empty(0), np.empty((0, 0))
-    count = int(gen.poisson(band.rate * dt))
+    return _draw_arrivals(gen, t0, t1, int(gen.poisson(band.rate * dt)), band, require_interior)
+
+
+def _draw_arrivals(gen, t0, t1, count, band, require_interior):
+    """Arrival times and marks of ``count`` events on ``(t0, t1]``, after the count draw."""
     if count == 0:
         return np.empty(0), np.empty((0, band.sampler.dim))
     times = np.sort(gen.uniform(t0, t1, count))
@@ -355,6 +359,36 @@ def _draw_poisson_events(gen, t0, t1, band, require_interior=False):
             times[i] = np.nextafter(times[i - 1], math.inf)
     marks = band.sampler.draw(gen, count)
     return times, marks
+
+
+def _draw_step_events(gen, grid_times, band):
+    """Events of one band on every step ``(t_k, t_{k+1}]`` of a grid, one step after another.
+
+    Bit-equal to calling :func:`_draw_poisson_events` with
+    ``require_interior=True`` on each step in turn, and it leaves the
+    generator where those calls would.  The counts of all remaining steps
+    are drawn in one vectorized call; at the first nonzero one the
+    generator is rewound and replayed up to that step's count, its
+    arrivals are drawn, and the look-ahead resumes after it.  Returns
+    ``(step, times, marks)`` for the steps that hold events.
+    """
+    lam = band.rate * (grid_times[1:] - grid_times[:-1])
+    bit_gen = gen.bit_generator
+    out = []
+    k = 0
+    while k < lam.size:
+        state = bit_gen.state
+        counts = gen.poisson(lam[k:])
+        hits = np.flatnonzero(counts)
+        if hits.size == 0:
+            break
+        i = k + int(hits[0])
+        bit_gen.state = state
+        gen.poisson(lam[k:i + 1])
+        t0, t1 = float(grid_times[i]), float(grid_times[i + 1])
+        out.append((i,) + _draw_arrivals(gen, t0, t1, int(counts[hits[0]]), band, True))
+        k = i + 1
+    return out
 
 
 def sample_big_jumps(stream: NoiseStream, horizon: float, model: LevyModel) -> list[JumpEvent]:

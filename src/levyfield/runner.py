@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -63,7 +64,20 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_json(path: Path, obj):
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n")
+
+
+def _error_record(exc) -> dict:
+    """``error.json`` body: type, message, and the exception's structured fields."""
+    record = {"error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, DivergenceError):
+        magnitude = exc.magnitude if math.isfinite(exc.magnitude) else None
+        record.update(time=exc.time, particle=exc.particle, magnitude=magnitude)
+    elif isinstance(exc, NonConvergenceError):
+        record.update(trace=exc.trace, tol=exc.tol)
+    elif isinstance(exc, ConfigurationError):
+        record.update(violations=exc.violations)
+    return record
 
 
 def _poc_config(spec: ExperimentSpec) -> PoCConfig:
@@ -214,7 +228,8 @@ def _rate_outputs(report, out: Path):
     if "coupling_means" in report.details:
         header += ["coupling_mean", "iid_mean"]
         cols += [report.details["coupling_means"], report.details["iid_means"]]
-    rows = [[row[0]] + [_f(v) for v in row[1:]] for row in zip(*cols)]
+    # an undefined standard error (one replication) leaves its cell empty
+    rows = [[row[0]] + ["" if v is None else _f(v) for v in row[1:]] for row in zip(*cols)]
     _write_csv(out / "rate.csv", header, rows)
     _write_json(out / "result.json", asdict(report))
     return (PASS if report.passed else FAIL), ["rate.csv", "result.json"]
@@ -354,7 +369,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, jobs: int = 1) -> int:
     try:
         code, outputs = _DISPATCH[spec.kind](spec, out, jobs)
     except (ConfigurationError, DivergenceError, IntegrabilityError, NonConvergenceError) as exc:
-        _write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
+        _write_json(out / "error.json", _error_record(exc))
         code, outputs = ERROR, ["error.json"]
     manifest.wall_seconds = round(time.time() - t0, 3)
     manifest.exit_code = code

@@ -11,7 +11,10 @@ time.  Big-band events are interlaced: their arrival times are real
 numbers, inserted as extra grid points for the path they drive; the
 small-jump dynamics are solved up to each arrival, the jump
 ``x <- x + g(x-, mu, z)`` is spliced in, and the state (not the measure)
-is re-frozen from the post-jump value.
+is re-frozen from the post-jump value.  A step applies this to all
+particles at once: particles without a big event in the step take the
+plain update, and the rest cross their breakpoints in rounds, round r
+moving every such particle to its r-th breakpoint.
 
 Measure sources are the only difference between the drivers: a decoupled
 path reads a fixed :class:`~levyfield.measures.MeasureFlow`, the
@@ -22,19 +25,24 @@ the two, re-simulating the same noise against the previous iterate's
 flow until the discounted flow distance stalls below tolerance.
 
 Randomness discipline: each particle owns one stream per noise layer
-(initial draw, small band, big band), addressed by particle id.  Small
-events are drawn per uniform step, big events are drawn upfront for the
-whole horizon, and neither schedule nor particle count ever reorders
-another particle's draws.  Consequences tested elsewhere: deleting a
-zero-rate band changes nothing bit for bit, a one-particle system equals
-a decoupled run against its own delta flow, and permuting particle ids
-permutes the output paths.
+(initial draw, small band, big band), addressed by particle id.  The
+noise of a stream block is drawn once into an event tape before any
+state moves: per particle the initial draw, then the small-band events
+step by step over the uniform grid, then the big-band events for the
+whole horizon.  A run only reads its tape, so runs that share streams
+share one tape: the coupled pair, every particle count of a replication
+(a prefix of the largest count's tape), and every pass of a
+common-random-numbers fixed point.  Neither schedule nor particle count
+ever reorders another particle's draws.  Consequences tested elsewhere:
+deleting a zero-rate band changes nothing bit for bit, a one-particle
+system equals a decoupled run against its own delta flow, and permuting
+particle ids permutes the output paths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,7 +50,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .errors import ConfigurationError, DivergenceError, NonConvergenceError
 from .measures import EmpiricalMeasure, MeasureFlow
-from .noise import LevyModel, _draw_poisson_events
+from .noise import LevyModel, _draw_poisson_events, _draw_step_events
 from .streams import MAX_PARTICLE, Layer, StreamContext
 from .wasserstein import flow_distance
 
@@ -164,51 +172,204 @@ class PathSolution:
     jumps: list[AppliedJump]
 
 
-class _Recorder:
-    """Per-particle realized-grid records, built only when asked for."""
+_BANDS = ("V", "V0")  # breakpoint band codes: 0 idiosyncratic, 1 common
 
-    __slots__ = ("times", "states", "jumps")
 
-    def __init__(self, t0, x0):
-        self.times = [float(t0)]
-        self.states = [np.array(x0)]
-        self.jumps = []
+@dataclass(frozen=True)
+class _Breakpoints:
+    """Every spliced big jump of one run, flat and in application order.
 
-    def point(self, t, x):
-        self.times.append(float(t))
-        self.states.append(np.array(x))
+    Row i is the jump of particle ``row[i]`` at ``time[i]`` inside uniform
+    step ``step[i]`` of ``grid_times``; ``state[i]`` is the post-jump
+    state.  A particle's rows are chronological.
+    """
 
-    def jump(self, t, mark, band, incr):
-        self.jumps.append(AppliedJump(float(t), np.array(mark), band, np.array(incr)))
+    grid_times: np.ndarray
+    step: np.ndarray
+    row: np.ndarray
+    time: np.ndarray
+    band: np.ndarray
+    mark: np.ndarray
+    increment: np.ndarray
+    state: np.ndarray
 
-    def solution(self):
-        return PathSolution(np.array(self.times), np.vstack(self.states), self.jumps)
+    @staticmethod
+    def from_rounds(grid_times, rounds, d) -> "_Breakpoints":
+        """Stack the ``(step, row, time, band, mark, increment, state)`` records of the rounds."""
+        if not rounds:
+            no_ints, no_rows = np.empty(0, dtype=int), np.empty((0, d))
+            return _Breakpoints(grid_times, no_ints, no_ints, np.empty(0), no_ints, no_rows, no_rows, no_rows)
+        return _Breakpoints(grid_times, *(np.concatenate(column) for column in zip(*rounds)))
+
+    def paths(self, grid_states) -> list[PathSolution]:
+        """Per-particle paths: the uniform-grid states with the breakpoints inserted."""
+        order = np.argsort(self.row, kind="stable")
+        bounds = np.searchsorted(self.row[order], np.arange(grid_states.shape[1] + 1))
+        out = []
+        for j in range(grid_states.shape[1]):
+            sel = order[bounds[j]:bounds[j + 1]]
+            at = self.step[sel] + 1
+            out.append(PathSolution(
+                np.insert(self.grid_times, at, self.time[sel]),
+                np.insert(grid_states[:, j, :], at, self.state[sel], axis=0),
+                [AppliedJump(float(self.time[i]), self.mark[i].copy(), _BANDS[self.band[i]],
+                             self.increment[i].copy()) for i in sel],
+            ))
+        return out
 
 
 @dataclass
 class SimResult:
-    """Everything one ensemble run can hand back (fields None unless requested)."""
+    """Everything one ensemble run can hand back (fields None unless requested).
+
+    ``paths`` is built from the uniform-grid ``states`` and the breakpoint
+    record on first access and kept from then on.
+    """
 
     final: np.ndarray
     flow: Optional[MeasureFlow] = None
     states: Optional[np.ndarray] = None  # (n_times, n, d) at uniform grid times
-    paths: Optional[list[PathSolution]] = None
+    _breakpoints: Optional[_Breakpoints] = field(default=None, repr=False)
+    _paths: Optional[list[PathSolution]] = field(default=None, repr=False)
+
+    @property
+    def paths(self) -> Optional[list[PathSolution]]:
+        if self._paths is None and self._breakpoints is not None:
+            self._paths = self._breakpoints.paths(self.states)
+        return self._paths
+
+
+# ---------------------------------------------------------------------------
+# the event tape
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Events:
+    """Events of one band for a particle range, sorted by (step, row, time).
+
+    The events of uniform step k are rows ``offsets[k]:offsets[k + 1]``.
+    """
+
+    row: np.ndarray
+    time: np.ndarray
+    mark: np.ndarray
+    offsets: np.ndarray
+
+    @staticmethod
+    def from_draws(draws, n_steps, d) -> "_Events":
+        """Events from ``(row, step, times, marks)`` draws made particle by particle."""
+        row = np.concatenate([np.full(t.size, j) for j, _, t, _ in draws] + [np.empty(0, dtype=int)])
+        step = np.concatenate([np.broadcast_to(k, t.shape) for _, k, t, _ in draws] + [np.empty(0, dtype=int)])
+        time = np.concatenate([t for _, _, t, _ in draws] + [np.empty(0)])
+        mark = np.concatenate([m for _, _, _, m in draws] + [np.empty((0, d))])
+        # a stable sort by step keeps each step's events in (row, time) order
+        order = np.argsort(step, kind="stable")
+        return _Events(row[order], time[order], mark[order], np.searchsorted(step[order], np.arange(n_steps + 1)))
+
+    def at(self, k):
+        a, b = self.offsets[k], self.offsets[k + 1]
+        return self.row[a:b], self.time[a:b], self.mark[a:b]
+
+    def head(self, n) -> "_Events":
+        keep = self.row < n
+        kept_before = np.concatenate([[0], np.cumsum(keep)])
+        return _Events(self.row[keep], self.time[keep], self.mark[keep], kept_before[self.offsets])
+
+
+@dataclass(frozen=True)
+class _EventTape:
+    """The noise of one stream block and particle range, drawn once.
+
+    ``x0`` holds the initial states, ``small`` and ``big`` the events of
+    the idiosyncratic bands (None for a band the run does not use).  The
+    first ``n`` particles of a tape drawn for ids ``0..N-1`` are exactly
+    the tape drawn for ids ``0..n-1``, see :meth:`head`.  Compensator mark
+    batches are drawn on first use and shared by every slice.
+    """
+
+    stream_ctx: StreamContext
+    x0: np.ndarray
+    small: Optional[_Events]
+    big: Optional[_Events]
+    batches: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.x0.shape[0]
+
+    def head(self, n: int) -> "_EventTape":
+        if n == self.n:
+            return self
+        if not 1 <= n < self.n:
+            raise ConfigurationError(f"cannot take {n} particles from a tape of {self.n}")
+        return _EventTape(
+            self.stream_ctx, self.x0[:n],
+            self.small.head(n) if self.small is not None else None,
+            self.big.head(n) if self.big is not None else None,
+            self.batches,
+        )
+
+    def batch(self, layer: Layer, band, samples: int) -> np.ndarray:
+        """Pinned compensator mark batch of ``band`` from ``layer``'s reserved stream."""
+        key = (int(layer), band, samples)
+        if key not in self.batches:
+            gen = self.stream_ctx.generator(_COMPENSATOR_PARTICLE, layer)
+            self.batches[key] = band.sampler.draw(gen, samples)
+        return self.batches[key]
+
+
+def _draw_tape(
+    coeffs: CoefficientSet,
+    levy: LevyModel,
+    grid: TimeGrid,
+    stream_ctx: StreamContext,
+    initial,
+    n: int,
+    particle_ids: Optional[Sequence[int]] = None,
+) -> _EventTape:
+    """Draw the tape of ``n`` particles (ids ``0..n-1`` unless given).
+
+    ``initial`` is a sampler, drawn from each particle's INIT stream, or
+    an ``(n, d)`` array of given states, which draws nothing.  A band is
+    drawn only when it is live and the coefficients use it.
+    """
+    d = coeffs.dim
+    if levy.dim != d:
+        raise ConfigurationError(f"noise dim {levy.dim} != coefficient dim {d}")
+    ids = list(particle_ids) if particle_ids is not None else list(range(n))
+    if len(ids) != n:
+        raise ConfigurationError(f"{n} particles but {len(ids)} particle ids")
+    if callable(initial):
+        x0 = np.empty((n, d))
+        for j, pid in enumerate(ids):
+            x0[j] = initial(stream_ctx.generator(pid, Layer.INIT))
+    else:
+        x0 = np.array(initial, dtype=float).reshape(n, d)
+
+    times = grid.times
+    small = big = None
+    if levy.small is not None and levy.small.rate > 0.0 and coeffs.small_jump is not None:
+        small = _Events.from_draws(
+            [(j, k, ut, um) for j, pid in enumerate(ids)
+             for k, ut, um in _draw_step_events(stream_ctx.generator(pid, Layer.SMALL), times, levy.small)],
+            grid.n_steps, d,
+        )
+    if levy.big is not None and levy.big.rate > 0.0 and coeffs.big_jump is not None:
+        draws = []
+        for j, pid in enumerate(ids):
+            vt, vm = _draw_poisson_events(
+                stream_ctx.generator(pid, Layer.BIG), 0.0, grid.horizon, levy.big, require_interior=True
+            )
+            # uniform step (t_k, t_{k+1}] holding each arrival
+            draws.append((j, np.searchsorted(times, vt, side="left") - 1, vt, vm))
+        big = _Events.from_draws(draws, grid.n_steps, d)
+    return _EventTape(stream_ctx, x0, small, big)
 
 
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
-
-
-def _bucket_by_step(times, grid_times):
-    """Map event times to the uniform step (t_k, t_{k+1}] containing them."""
-    if times.size == 0:
-        return {}
-    steps = np.searchsorted(grid_times, times, side="left") - 1
-    out = {}
-    for idx, s in enumerate(steps):
-        out.setdefault(int(s), []).append(idx)
-    return out
 
 
 def _mc_compensator(coeffs_fn, rate, batch, measure_free):
@@ -226,165 +387,147 @@ def _mc_compensator(coeffs_fn, rate, batch, measure_free):
     return comp
 
 
-def _substep_scalar(
-    coeffs,
-    ctx,
-    x,
-    t0,
-    t1,
-    u_times,
-    u_marks,
-    v_times,
-    v_marks,
-    cu_times,
-    cu_marks,
-    cv_times,
-    cv_marks,
-    comp,
-    comp0,
-    recorder,
-):
-    """One particle across one uniform step containing big-jump breakpoints.
+def _event_sums(vals, owner):
+    """Per-owner sums of event values, owners ascending and contiguous.
 
-    Breakpoints are the idiosyncratic and common V-event times in
-    ``(t0, t1]``; the state re-freezes at each.  Simultaneous events
-    apply idiosyncratic first, then common.
+    Each owner's ``(m, d)`` block is summed on its own, grouped by ``m``,
+    so the result is bit-equal to summing the blocks one at a time.
     """
-    d = x.shape[0]
-    # (time, order, band, mark): order 0 = idio before order 1 = common
-    breaks = [(float(t), 0, "V", v_marks[i]) for i, t in enumerate(v_times)]
-    breaks += [(float(t), 1, "V0", cv_marks[i]) for i, t in enumerate(cv_times)]
-    breaks.sort(key=lambda e: (e[0], e[1]))
+    owners, start, count = np.unique(owner, return_index=True, return_counts=True)
+    sums = np.empty((owners.size, vals.shape[1]))
+    for m in np.unique(count):
+        sel = count == m
+        sums[sel] = vals[start[sel, None] + np.arange(m)].sum(axis=1)
+    return owners, sums
 
-    def advance(x, s_a, s_b):
-        delta = s_b - s_a
-        row = x[None, :]
-        incr = delta * coeffs.drift(row, ctx)[0]
+
+def _interlace(coeffs, ctx, x, rows, t0, t1, *, comp, comp0, small, big, common_small, common_big):
+    """Carry particles ``rows`` (ascending) across ``(t0, t1]`` through their breakpoints.
+
+    ``x`` holds their states at ``t0`` and is advanced in place.
+    Breakpoints are the particles' own big events and every common big
+    event of the step; simultaneous events apply idiosyncratic first.
+    Round r moves every particle with an r-th breakpoint up to it (a
+    segment of small-jump dynamics frozen at the segment start) and
+    splices the jump in.  Returns the breakpoint records
+    ``(row, time, band, mark, increment, state)`` of each round.
+    """
+    m = rows.size
+    v_row, v_time, v_mark = big
+    cv_time, cv_mark = common_big
+    pos = np.concatenate([np.searchsorted(rows, v_row), np.repeat(np.arange(m), cv_time.size)])
+    time = np.concatenate([v_time, np.tile(cv_time, m)])
+    band = np.concatenate([np.zeros(v_time.size, dtype=int), np.ones(m * cv_time.size, dtype=int)])
+    mark = np.concatenate([v_mark, np.tile(cv_mark, (m, 1))])
+    order = np.lexsort((band, time, pos))
+    pos, time, band, mark = pos[order], time[order], band[order], mark[order]
+    rank = np.arange(pos.size) - np.searchsorted(pos, pos)
+
+    u_row, u_time, u_mark = small
+    hit = np.isin(u_row, rows)
+    u_pos, u_time, u_mark = np.searchsorted(rows, u_row[hit]), u_time[hit], u_mark[hit]
+    cu_time, cu_mark = common_small
+
+    def advance(q, s_a, s_b):
+        xq = x[q]
+        delta = (s_b - s_a)[:, None]
+        incr = delta * coeffs.drift(xq, ctx)
         if comp is not None:
-            incr = incr - delta * comp(row, ctx)[0]
+            incr = incr - delta * comp(xq, ctx)
         if comp0 is not None:
-            incr = incr - delta * comp0(row, ctx)[0]
-        if u_times is not None and u_times.size:
-            sel = (u_times > s_a) & (u_times <= s_b)
-            if sel.any():
-                marks = u_marks[sel]
-                vals = coeffs.small_jump(np.broadcast_to(x, (marks.shape[0], d)), marks, ctx)
-                incr = incr + vals.sum(axis=0)
-        if cu_times is not None and cu_times.size:
-            sel = (cu_times > s_a) & (cu_times <= s_b)
-            if sel.any():
-                marks = cu_marks[sel]
-                vals = coeffs.common_small(np.broadcast_to(x, (marks.shape[0], d)), marks)
-                incr = incr + vals.sum(axis=0)
-        return x + incr
+            incr = incr - delta * comp0(xq, ctx)
+        if u_pos.size:
+            lo = np.full(m, np.nan)
+            hi = np.full(m, np.nan)
+            lo[q], hi[q] = s_a, s_b
+            own = (u_time > lo[u_pos]) & (u_time <= hi[u_pos])
+            if own.any():
+                owners, sums = _event_sums(coeffs.small_jump(x[u_pos[own]], u_mark[own], ctx), u_pos[own])
+                at = np.searchsorted(q, owners)
+                incr[at] = incr[at] + sums
+        if cu_time.size:
+            qi, ei = np.nonzero((cu_time > s_a[:, None]) & (cu_time <= s_b[:, None]))
+            if qi.size:
+                owners, sums = _event_sums(coeffs.common_small(xq[qi], cu_mark[ei]), qi)
+                incr[owners] = incr[owners] + sums
+        x[q] = xq + incr
 
-    s = t0
-    for bt, _, band, mark in breaks:
-        if bt > s:
-            x = advance(x, s, bt)
-            s = bt
-        if band == "V":
-            incr = coeffs.big_jump(x[None, :], mark[None, :], ctx)[0]
-        else:
-            incr = coeffs.common_big(x[None, :], mark[None, :], ctx)[0]
-        x = x + incr
-        if recorder is not None:
-            recorder.jump(bt, mark, band, incr)
-            recorder.point(bt, x)
-    if t1 > s:
-        x = advance(x, s, t1)
-    return x
+    s = np.full(m, t0)
+    records = []
+    for r in range(int(rank.max()) + 1 if rank.size else 0):
+        e = np.flatnonzero(rank == r)
+        p, bt = pos[e], time[e]
+        go = bt > s[p]
+        if go.any():
+            advance(p[go], s[p[go]], bt[go])
+            s[p[go]] = bt[go]
+        idio = band[e] == 0
+        incr = np.empty((e.size, x.shape[1]))
+        if idio.any():
+            incr[idio] = coeffs.big_jump(x[p[idio]], mark[e[idio]], ctx)
+        if not idio.all():
+            incr[~idio] = coeffs.common_big(x[p[~idio]], mark[e[~idio]], ctx)
+        x[p] = x[p] + incr
+        records.append((rows[p], bt, band[e], mark[e], incr, x[p]))
+    go = np.flatnonzero(t1 > s)
+    if go.size:
+        advance(go, s[go], np.full(go.size, t1))
+    return records
 
 
 def _simulate_system(
     coeffs: CoefficientSet,
     levy: LevyModel,
     grid: TimeGrid,
-    stream_ctx: StreamContext,
-    n: int,
-    initial,
+    tape: _EventTape,
     config: SolverConfig,
     *,
     flow: Optional[MeasureFlow] = None,
     interacting: bool = False,
     common=None,
-    particle_ids: Optional[Sequence[int]] = None,
     collect_clouds: bool = False,
     collect_states: bool = False,
     record_paths: bool = False,
     observer: Optional[Callable] = None,
 ) -> SimResult:
-    d = coeffs.dim
-    if levy.dim != d:
-        raise ConfigurationError(f"noise dim {levy.dim} != coefficient dim {d}")
+    """Run the particles of ``tape`` over ``grid``; nothing is drawn here but compensator batches."""
     if not interacting and flow is None:
         raise ConfigurationError("decoupled runs need a measure flow")
     times = grid.times
-    ids = list(particle_ids) if particle_ids is not None else list(range(n))
-    if len(ids) != n:
-        raise ConfigurationError(f"{n} particles but {len(ids)} particle ids")
-
-    X = np.empty((n, d))
-    if callable(initial):
-        for j, pid in enumerate(ids):
-            X[j] = initial(stream_ctx.generator(pid, Layer.INIT))
-    else:
-        X[:] = np.asarray(initial, dtype=float).reshape(n, d)
-
-    small_active = levy.small is not None and levy.small.rate > 0.0 and coeffs.small_jump is not None
-    big_active = levy.big is not None and levy.big.rate > 0.0 and coeffs.big_jump is not None
-
-    u_gens = [stream_ctx.generator(pid, Layer.SMALL) for pid in ids] if small_active else None
-
-    # idiosyncratic big jumps: whole horizon upfront, bucketed by step
-    v_step_map: dict[int, list[tuple[int, float, np.ndarray]]] = {}
-    if big_active:
-        for j, pid in enumerate(ids):
-            vt, vm = _draw_poisson_events(
-                stream_ctx.generator(pid, Layer.BIG), 0.0, grid.horizon, levy.big, require_interior=True
-            )
-            if vt.size:
-                buckets = _bucket_by_step(vt, times)
-                for step, idxs in buckets.items():
-                    v_step_map.setdefault(step, []).extend((j, float(vt[i]), vm[i]) for i in idxs)
-
-    # common layer: events shared across particles, presampled by the caller
-    cu_step_map: dict[int, np.ndarray] = {}
-    cv_step_map: dict[int, np.ndarray] = {}
-    c_small_active = c_big_active = False
-    if common is not None:
-        c_small_active = coeffs.common_small is not None and common.model.small_rate > 0.0
-        c_big_active = coeffs.common_big is not None and common.model.big_rate > 0.0
-        if c_small_active:
-            cu_step_map = _bucket_by_step(common.u_times, times)
-        if c_big_active:
-            cv_step_map = _bucket_by_step(common.v_times, times)
+    X = tape.x0.copy()
+    n, d = X.shape
+    no_rows, no_times, no_marks = np.empty(0, dtype=int), np.empty(0), np.empty((0, d))
 
     comp = None
-    if small_active:
+    if tape.small is not None:
         if coeffs.small_compensator is not None:
             comp = lambda X_, ctx_: coeffs.small_compensator(X_, ctx_, levy)
         else:
-            batch = levy.small.sampler.draw(
-                stream_ctx.generator(_COMPENSATOR_PARTICLE, Layer.AUX), config.compensator_samples
-            )
+            batch = tape.batch(Layer.AUX, levy.small, config.compensator_samples)
             # small_jump always takes the measure context positionally
             comp = _mc_compensator(coeffs.small_jump, levy.small.rate, batch, measure_free=False)
 
+    # common layer: events shared across particles, presampled by the caller;
+    # offsets[k]:offsets[k + 1] are the events in uniform step (t_k, t_{k+1}]
+    cu_off = cv_off = None
     comp0 = None
-    if c_small_active:
-        if coeffs.common_small_compensator is not None:
-            comp0 = lambda X_, ctx_: coeffs.common_small_compensator(X_, ctx_, common.model)
-        else:
-            batch0 = common.model.small.sampler.draw(
-                stream_ctx.generator(_COMPENSATOR_PARTICLE, Layer.COMMON_SMALL),
-                config.compensator_samples,
-            )
-            comp0 = _mc_compensator(coeffs.common_small, common.model.small.rate, batch0, measure_free=True)
+    if common is not None:
+        if coeffs.common_small is not None and common.model.small_rate > 0.0:
+            cu_off = np.searchsorted(common.u_times, times, side="right")
+            if coeffs.common_small_compensator is not None:
+                comp0 = lambda X_, ctx_: coeffs.common_small_compensator(X_, ctx_, common.model)
+            else:
+                batch0 = tape.batch(Layer.COMMON_SMALL, common.model.small, config.compensator_samples)
+                comp0 = _mc_compensator(coeffs.common_small, common.model.small.rate, batch0, measure_free=True)
+        if coeffs.common_big is not None and common.model.big_rate > 0.0:
+            cv_off = np.searchsorted(common.v_times, times, side="right")
 
-    clouds = [EmpiricalMeasure(X.copy())] if collect_clouds else None
-    states_hist = [X.copy()] if collect_states else None
-    recorders = [_Recorder(times[0], X[j]) for j in range(n)] if record_paths else None
+    states = None
+    if collect_states or record_paths:
+        states = np.empty((grid.n_steps + 1, n, d))
+        states[0] = X
+    clouds = [EmpiricalMeasure(X)] if collect_clouds else None
+    records = [] if record_paths else None
     if observer is not None:
         observer(0, float(times[0]), X)
 
@@ -392,7 +535,7 @@ def _simulate_system(
         t0 = float(times[k])
         t1 = float(times[k + 1])
         dt = t1 - t0
-        mu = EmpiricalMeasure(X.copy()) if interacting else flow.at(t0)
+        mu = EmpiricalMeasure(X) if interacting else flow.at(t0)
         ctx = coeffs.prepare(mu)
 
         base = X + dt * coeffs.drift(X, ctx)
@@ -401,74 +544,40 @@ def _simulate_system(
         if comp0 is not None:
             base -= dt * comp0(X, ctx)
 
-        # small-band draws: one count per particle per step, marks only when needed
-        u_events: list[tuple[int, np.ndarray, np.ndarray]] = []
-        if small_active:
-            for j in range(n):
-                ut, um = _draw_poisson_events(u_gens[j], t0, t1, levy.small, require_interior=True)
-                if ut.size:
-                    u_events.append((j, ut, um))
+        small = tape.small.at(k) if tape.small is not None else (no_rows, no_times, no_marks)
+        big = tape.big.at(k) if tape.big is not None else (no_rows, no_times, no_marks)
+        cu = cv = (no_times, no_marks)
+        if cu_off is not None:
+            a, b = cu_off[k], cu_off[k + 1]
+            cu = (common.u_times[a:b], common.u_marks[a:b])
+        if cv_off is not None:
+            a, b = cv_off[k], cv_off[k + 1]
+            cv = (common.v_times[a:b], common.v_marks[a:b])
 
-        cu_idx = cu_step_map.get(k)
-        cv_idx = cv_step_map.get(k)
-        v_list = v_step_map.get(k)
-
-        if cv_idx is None and v_list is None:
-            # no big jumps anywhere this step: single frozen segment
-            if cu_idx is not None:
-                for i in cu_idx:
-                    zc = common.u_marks[i]
-                    base += coeffs.common_small(X, np.broadcast_to(zc, (n, d)))
-            for j, ut, um in u_events:
-                vals = coeffs.small_jump(np.broadcast_to(X[j], (um.shape[0], d)), um, ctx)
-                base[j] += vals.sum(axis=0)
-            X = base
+        # particles with a big event in the step cross it in rounds; the rest
+        # take the single frozen segment
+        if cv[0].size:
+            jumping = np.arange(n)
         else:
-            affected = set(range(n)) if cv_idx is not None else {j for j, _, _ in v_list}
-            u_map = {j: (ut, um) for j, ut, um in u_events}
-            if cv_idx is None and cu_idx is not None:
-                for i in cu_idx:
-                    zc = common.u_marks[i]
-                    base += coeffs.common_small(X, np.broadcast_to(zc, (n, d)))
-            for j, (ut, um) in u_map.items():
-                if j not in affected:
-                    vals = coeffs.small_jump(np.broadcast_to(X[j], (um.shape[0], d)), um, ctx)
-                    base[j] += vals.sum(axis=0)
-            v_map: dict[int, list[tuple[float, np.ndarray]]] = {}
-            if v_list is not None:
-                for j, vt, vm in v_list:
-                    v_map.setdefault(j, []).append((vt, vm))
-            empty_t = np.empty(0)
-            empty_m = np.empty((0, d))
-            if cv_idx is not None:
-                cvt = common.v_times[cv_idx]
-                cvm = common.v_marks[cv_idx]
-            else:
-                cvt, cvm = empty_t, empty_m
-            for j in sorted(affected):
-                own = v_map.get(j, [])
-                vt = np.array([t for t, _ in own])
-                vm = np.vstack([m for _, m in own]) if own else empty_m
-                ut, um = u_map.get(j, (None, None))
-                base[j] = _substep_scalar(
-                    coeffs,
-                    ctx,
-                    X[j],
-                    t0,
-                    t1,
-                    ut,
-                    um,
-                    vt,
-                    vm,
-                    common.u_times[cu_idx] if cu_idx is not None else empty_t,
-                    common.u_marks[cu_idx] if cu_idx is not None else empty_m,
-                    cvt,
-                    cvm,
-                    comp,
-                    comp0,
-                    recorders[j] if recorders is not None else None,
+            jumping = np.unique(big[0])
+            for zc in cu[1]:
+                base += coeffs.common_small(X, np.broadcast_to(zc, (n, d)))
+        u_row, _, u_mark = small
+        if u_row.size:
+            calm = ~np.isin(u_row, jumping) if jumping.size else slice(None)
+            if u_row[calm].size:
+                owners, sums = _event_sums(
+                    coeffs.small_jump(X[u_row[calm]], u_mark[calm], ctx), u_row[calm]
                 )
-            X = base
+                base[owners] += sums
+        if jumping.size:
+            x = X[jumping]
+            rounds = _interlace(coeffs, ctx, x, jumping, t0, t1, comp=comp, comp0=comp0,
+                                small=small, big=big, common_small=cu, common_big=cv)
+            base[jumping] = x
+            if records is not None:
+                records.extend((np.full(rec[0].size, k),) + rec for rec in rounds)
+        X = base
 
         amax = float(np.max(np.abs(X))) if X.size else 0.0
         if not math.isfinite(amax) or amax > config.divergence_threshold:
@@ -480,17 +589,16 @@ def _simulate_system(
         if observer is not None:
             observer(k + 1, t1, X)
         if collect_clouds:
-            clouds.append(EmpiricalMeasure(X.copy()))
-        if collect_states:
-            states_hist.append(X.copy())
-        if recorders is not None:
-            for j in range(n):
-                recorders[j].point(t1, X[j])
+            clouds.append(EmpiricalMeasure(X))
+        if states is not None:
+            states[k + 1] = X
 
-    out_flow = MeasureFlow(times, clouds) if collect_clouds else None
-    out_states = np.stack(states_hist) if collect_states else None
-    out_paths = [r.solution() for r in recorders] if recorders is not None else None
-    return SimResult(final=X, flow=out_flow, states=out_states, paths=out_paths)
+    return SimResult(
+        final=X,
+        flow=MeasureFlow(times, clouds) if collect_clouds else None,
+        states=states,
+        _breakpoints=_Breakpoints.from_rounds(times, records, d) if record_paths else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -517,18 +625,8 @@ def integrate_decoupled(
     post-jump values stored at jump times and every spliced jump logged.
     """
     config = config or SolverConfig()
-    res = _simulate_system(
-        coeffs,
-        levy,
-        grid,
-        stream_ctx,
-        1,
-        initial if callable(initial) else np.asarray(initial, dtype=float).reshape(1, -1),
-        config,
-        flow=flow,
-        particle_ids=[particle_id],
-        record_paths=True,
-    )
+    tape = _draw_tape(coeffs, levy, grid, stream_ctx, initial, 1, particle_ids=[particle_id])
+    res = _simulate_system(coeffs, levy, grid, tape, config, flow=flow, record_paths=True)
     return res.paths[0]
 
 
@@ -558,31 +656,27 @@ def picard_fixed_point(
     the previous flow and takes their empirical clouds as the next flow.
     Initial draws are made once and shared by every iteration; with
     ``config.crn`` the noise streams are also identical across
-    iterations, making the map deterministic and its contraction factor
-    directly observable.  The starting flow is the constant-in-time
-    initial cloud unless ``initial_flow`` overrides it (same grid
-    required).  Raises :class:`NonConvergenceError` with the distance
-    trace when the budget runs out.
+    iterations (one event tape serves every pass), making the map
+    deterministic and its contraction factor directly observable.  The
+    starting flow is the constant-in-time initial cloud unless
+    ``initial_flow`` overrides it (same grid required).  Raises
+    :class:`NonConvergenceError` with the distance trace when the budget
+    runs out.
     """
     m = config.paths
     gamma = resolve_gamma(config, coeffs)
-    x0 = np.empty((m, coeffs.dim))
-    for i in range(m):
-        x0[i] = initial_sampler(stream_ctx.generator(i, Layer.INIT))
-    initial_cloud = EmpiricalMeasure(x0)
-    if initial_flow is None:
-        flow = MeasureFlow.constant(grid.times, initial_cloud)
-    else:
-        if not np.array_equal(initial_flow.times, grid.times):
-            raise ConfigurationError("initial flow grid must match the solver grid")
-        flow = initial_flow
+    if initial_flow is not None and not np.array_equal(initial_flow.times, grid.times):
+        raise ConfigurationError("initial flow grid must match the solver grid")
+    tape = _draw_tape(coeffs, levy, grid, stream_ctx, initial_sampler, m)
+    initial_cloud = EmpiricalMeasure(tape.x0)
+    flow = initial_flow if initial_flow is not None else MeasureFlow.constant(grid.times, initial_cloud)
 
     trace: list[float] = []
     for it in range(config.max_iter):
-        ctx_it = stream_ctx if config.crn else stream_ctx.with_(replica=stream_ctx.replica + it)
-        res = _simulate_system(
-            coeffs, levy, grid, ctx_it, m, x0, config, flow=flow, collect_clouds=True
-        )
+        if it and not config.crn:
+            ctx_it = stream_ctx.with_(replica=stream_ctx.replica + it)
+            tape = _draw_tape(coeffs, levy, grid, ctx_it, initial_cloud.points, m)
+        res = _simulate_system(coeffs, levy, grid, tape, config, flow=flow, collect_clouds=True)
         new_flow = res.flow
         dist = flow_distance(new_flow, flow, coeffs.beta, gamma, metric=config.flow_metric)
         trace.append(dist)
@@ -613,19 +707,10 @@ def simulate_particle_system(
     are returned on request; the empirical flow is collected by default.
     """
     config = config or SolverConfig()
+    tape = _draw_tape(coeffs, levy, grid, stream_ctx, initial_sampler, n, particle_ids)
     return _simulate_system(
-        coeffs,
-        levy,
-        grid,
-        stream_ctx,
-        n,
-        initial_sampler,
-        config,
-        interacting=True,
-        particle_ids=particle_ids,
-        collect_clouds=collect_clouds,
-        record_paths=record_paths,
-        observer=observer,
+        coeffs, levy, grid, tape, config,
+        interacting=True, collect_clouds=collect_clouds, record_paths=record_paths, observer=observer,
     )
 
 
@@ -650,53 +735,35 @@ def simulate_coupled(
     config: Optional[SolverConfig] = None,
     *,
     record_paths: bool = False,
+    tape: Optional[_EventTape] = None,
 ) -> CoupledResult:
     """Couple the n-particle system to n limit copies on identical noise.
 
-    Both systems draw from the same per-particle streams (same initial
-    draws, same events band by band); the limit copies read
+    Both systems read one event tape of the per-particle streams (same
+    initial draws, same events band by band); the limit copies read
     ``reference_flow`` while the particles read their own cloud, so the
     per-particle gaps isolate the measure-argument error.  Sup errors are
     taken over the realized grid (shared by construction) when
-    ``record_paths`` is set, over uniform grid times otherwise.
+    ``record_paths`` is set, over uniform grid times otherwise.  ``tape``
+    passes in the first ``n`` particles of a tape already drawn from
+    ``stream_ctx``.
     """
     config = config or SolverConfig()
+    if tape is None:
+        tape = _draw_tape(coeffs, levy, grid, stream_ctx, initial_sampler, n)
+    elif tape.n != n:
+        raise ConfigurationError(f"{n} particles but a tape of {tape.n}")
     inter = _simulate_system(
-        coeffs,
-        levy,
-        grid,
-        stream_ctx,
-        n,
-        initial_sampler,
-        config,
-        interacting=True,
-        collect_states=not record_paths,
-        record_paths=record_paths,
+        coeffs, levy, grid, tape, config, interacting=True, collect_states=True, record_paths=record_paths
     )
     limit = _simulate_system(
-        coeffs,
-        levy,
-        grid,
-        stream_ctx,
-        n,
-        initial_sampler,
-        config,
-        flow=reference_flow,
-        collect_states=not record_paths,
-        record_paths=record_paths,
+        coeffs, levy, grid, tape, config, flow=reference_flow, collect_states=True, record_paths=record_paths
     )
-    if record_paths:
-        sups = np.empty(n)
-        finals = np.empty(n)
-        for j in range(n):
-            pa, pb = inter.paths[j], limit.paths[j]
-            if not np.array_equal(pa.times, pb.times):
-                raise ConfigurationError("coupled pair realized different grids; stream mismatch")
-            gaps = np.sqrt(((pa.states - pb.states) ** 2).sum(axis=1))
-            sups[j] = float(gaps.max())
-            finals[j] = float(gaps[-1])
-    else:
-        diffs = np.sqrt(((inter.states - limit.states) ** 2).sum(axis=2))  # (times, n)
-        sups = diffs.max(axis=0)
-        finals = diffs[-1]
+    diffs = np.sqrt(((inter.states - limit.states) ** 2).sum(axis=2))  # (times, n)
+    sups = diffs.max(axis=0)
+    finals = diffs[-1]
+    if record_paths and inter._breakpoints.row.size:
+        # both runs spliced the same jumps in the same order
+        a, b = inter._breakpoints, limit._breakpoints
+        np.maximum.at(sups, a.row, np.sqrt(((a.state - b.state) ** 2).sum(axis=1)))
     return CoupledResult(interacting=inter, limit=limit, sup_errors=sups, final_errors=finals)

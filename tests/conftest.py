@@ -5,13 +5,15 @@ and streams are addressed by explicit seeds, so any test can be re-run in
 isolation and produce the identical failure.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from levyfield.coefficients import build_cubic_interaction, build_linear_meanfield
 from levyfield.noise import AnnulusUniform, LevyBand, LevyModel
 from levyfield.solver import SolverConfig, TimeGrid
-from levyfield.streams import EXP_MAIN, StreamContext
+from levyfield.streams import EXP_MAIN, NoiseStream, StreamContext
 
 
 def make_levy(dim=1, small_rate=1.0, big_rate=0.5, split=1.0, big_hi=2.0):
@@ -62,3 +64,16 @@ def assert_paths_equal(pa, pb):
         assert ja.time == jb.time and ja.band == jb.band
         assert np.array_equal(ja.mark, jb.mark)
         assert np.array_equal(ja.increment, jb.increment)
+
+
+def count_generators(monkeypatch) -> Counter:
+    """Count the generators minted from here on, by stream layer."""
+    counts = Counter()
+    mint = NoiseStream.generator
+
+    def counting(stream):
+        counts[stream.layer] += 1
+        return mint(stream)
+
+    monkeypatch.setattr(NoiseStream, "generator", counting)
+    return counts

@@ -12,6 +12,7 @@ from itertools import permutations
 from pathlib import Path
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from levyfield.chaos import fit_loglog_slope, phi_rate
@@ -34,6 +35,8 @@ from levyfield.streams import EXP_MAIN, Layer, NoiseStream, StreamContext
 from levyfield.wasserstein import flow_distance, w_p_1d, w_p_exact
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+pytestmark = pytest.mark.slow
 
 
 def _run_config(name: str, tmp_path: Path, jobs: int = 1):

@@ -26,13 +26,15 @@ from levyfield.noise import no_noise
 from levyfield.solver import (
     SolverConfig,
     TimeGrid,
+    _draw_tape,
+    _simulate_system,
     picard_fixed_point,
     simulate_particle_system,
 )
-from levyfield.streams import EXP_MAIN, StreamContext
+from levyfield.streams import EXP_MAIN, Layer, StreamContext
 from levyfield.wasserstein import flow_distance
 
-from conftest import make_levy, small_only_levy
+from conftest import count_generators, make_levy, small_only_levy
 
 GRID = TimeGrid.regular(1.0, 0.05)
 CTX = StreamContext(seed=707, experiment=EXP_MAIN, replica=0)
@@ -198,6 +200,96 @@ def test_simultaneous_events_apply_idiosyncratic_before_common():
 
     # pinning the common path leaves the idiosyncratic event log untouched
     assert [j.time for j in path.jumps if j.band == "V"] == [j.time for j in v_jumps]
+
+
+def _rounds_case():
+    """Frozen family with live idiosyncratic and common big bands, no small band.
+
+    Segments are then pure drift ``x + dtau (-a x)``, so every breakpoint
+    can be recomputed from the point before it.
+    """
+    levy = make_levy(dim=1, small_rate=0.0, big_rate=12.0)
+    common_model = make_levy(dim=1, small_rate=0.0, big_rate=6.0)
+    coeffs = replace(
+        build_frozen(levy, dim=1, beta=2.0, a=1.0, gamma_g=0.3),
+        common_big=lambda X, Z, ctx: X * Z,
+    )
+    return coeffs, TwoLayerNoise(idio=levy, common=common_model)
+
+
+def _check_breakpoints(path, a=1.0, gamma_g=0.3):
+    jump_times = [j.time for j in path.jumps]
+    rows = np.flatnonzero(np.isin(path.times, jump_times))
+    assert rows.size == len(path.jumps)
+    for r, jump in zip(rows, path.jumps):
+        prev = path.states[r - 1]
+        dtau = path.times[r] - path.times[r - 1]
+        pre = prev + dtau * (-a * prev) if dtau > 0 else prev
+        assert np.array_equal(path.states[r], pre + jump.increment)
+        want = gamma_g * jump.mark if jump.band == "V" else pre * jump.mark
+        assert np.array_equal(jump.increment, want)
+
+
+def test_recorded_paths_match_uniform_states_and_breakpoint_arithmetic():
+    coeffs, noise = _rounds_case()
+    n = 12
+    realization = sample_common_realization(noise.common, CTX, GRID.horizon)
+    assert realization.v_times.size >= 2
+    res = simulate_common_system(
+        coeffs, n, normal_initial(1), noise, GRID, CTX, realization=realization, record_paths=True
+    )
+    tape = _draw_tape(coeffs, noise.idio, GRID, CTX, normal_initial(1), n)
+    plain = _simulate_system(
+        coeffs, noise.idio, GRID, tape, SolverConfig(), interacting=True, common=realization, collect_states=True
+    )
+    per_step = np.zeros((n, GRID.n_steps), dtype=int)
+    for j, path in enumerate(res.sim.paths):
+        jump_times = [jm.time for jm in path.jumps]
+        assert np.all(np.diff(path.times) > 0)
+        uniform = ~np.isin(path.times, jump_times)
+        assert np.array_equal(path.times[uniform], GRID.times)
+        assert np.array_equal(path.states[uniform], plain.states[:, j])
+        _check_breakpoints(path)
+        assert sum(jm.band == "V0" for jm in path.jumps) == realization.v_times.size
+        np.add.at(per_step[j], np.searchsorted(GRID.times, jump_times, side="left") - 1, 1)
+    # some step sends particles through different numbers of rounds
+    assert any(len(set(col) - {0}) >= 2 and col.max() >= 2 for col in per_step.T)
+
+
+def test_tied_breakpoints_apply_idiosyncratic_first_for_every_particle():
+    coeffs, noise = _rounds_case()
+    n = 6
+    base = simulate_common_system(
+        coeffs, n, normal_initial(1), noise, GRID, CTX,
+        realization=_empty_realization(noise.common), record_paths=True,
+    )
+    t_star = base.sim.paths[3].jumps[0].time
+    pinned = CommonRealization(noise.common, np.empty(0), np.empty((0, 1)), np.array([t_star]), np.array([[1.5]]))
+    tied = simulate_common_system(
+        coeffs, n, normal_initial(1), noise, GRID, CTX, realization=pinned, record_paths=True
+    )
+    for j, path in enumerate(tied.sim.paths):
+        at_tie = [jm for jm in path.jumps if jm.time == t_star]
+        assert [jm.band for jm in at_tie] == (["V", "V0"] if j == 3 else ["V0"])
+        _check_breakpoints(path)
+
+
+def test_conditional_picard_mints_one_inner_tape_for_all_paths(monkeypatch):
+    levy = small_only_levy(rate=1.0)
+    common_model = make_levy(dim=1, small_rate=1.0, big_rate=1.0)
+    noise = TwoLayerNoise(idio=levy, common=common_model)
+    coeffs = build_linear_meanfield(levy, dim=1, beta=2.0, gamma_f=0.2, gamma_f0=0.3, gamma_g0=0.4)
+    cfg = SolverConfig(paths=32, tol=1e-2, max_iter=20)
+    realizations = [
+        sample_common_realization(common_model, CTX.with_(replica=j), GRID.horizon) for j in range(3)
+    ]
+    counts = count_generators(monkeypatch)
+    conditional_picard(coeffs, normal_initial(1), noise, GRID, cfg, CTX, realizations=realizations[:1])
+    one = dict(counts)
+    counts.clear()
+    res = conditional_picard(coeffs, normal_initial(1), noise, GRID, cfg, CTX, realizations=realizations)
+    assert res.iterations >= 2
+    assert dict(counts) == one == {Layer.INIT: 32, Layer.SMALL: 32}
 
 
 def test_pure_common_noise_moves_all_particles_in_lockstep():

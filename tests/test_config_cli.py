@@ -5,6 +5,7 @@ import json
 import re
 from pathlib import Path
 
+import jsonschema
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -14,7 +15,22 @@ from levyfield.config import config_digest, load_config, validate_and_build
 from levyfield.errors import ConfigurationError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 SHIPPED = sorted(CONFIG_DIR.glob("*.yaml"))
+
+
+def _strict_json(path):
+    """Parse a JSON file, rejecting NaN and Infinity."""
+
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def _assert_valid(doc, schema_name):
+    schema = json.loads((SCHEMA_DIR / schema_name).read_text())
+    jsonschema.Draft7Validator(schema).validate(doc)
 
 
 def _quick_cfg(kind="simulate", **overrides):
@@ -280,10 +296,31 @@ def test_cli_divergent_run_writes_error_json(tmp_path):
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["simulate", "--config", path, "--out", str(out)])
     assert result.exit_code == 2
-    error = json.loads((out / "error.json").read_text())
+    error = _strict_json(out / "error.json")
     assert error["error"] == "DivergenceError"
     assert "diverged" in error["message"]
+    assert 0.0 < error["time"] <= 1.0
+    assert 0 <= error["particle"] < 16
+    assert error["magnitude"] > 1e12
+    _assert_valid(error, "error.schema.json")
     assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
+
+
+@pytest.mark.parametrize("kind", ["poc", "strong-poc"])
+def test_single_replication_rate_run_writes_strict_json(tmp_path, kind):
+    cfg = _quick_cfg(
+        kind=kind,
+        experiment={"p": 1.0, "n_grid": [4, 8, 16], "replications": 1, "reference_paths": 64},
+    )
+    path = _write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [kind, "--config", path, "--out", str(out)])
+    assert result.exit_code in (0, 1), result.output  # verdict may fail on a toy grid
+    doc = _strict_json(out / "result.json")
+    _assert_valid(doc, "rate_result.schema.json")
+    assert doc["ses"] == [None, None, None]
+    rows = (out / "rate.csv").read_text().splitlines()
+    assert all(row.split(",")[2] == "" for row in rows[1:])
 
 
 def test_cli_wasserstein_selftest_passes():

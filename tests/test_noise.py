@@ -12,6 +12,8 @@ from scipy import stats
 
 from levyfield.errors import ConfigurationError, IntegrabilityError
 from levyfield.noise import (
+    _draw_poisson_events,
+    _draw_step_events,
     AnnulusUniform,
     FixedMark,
     LevyBand,
@@ -130,6 +132,26 @@ def test_small_jump_compensator_is_interval_times_mean_measure():
     s = sample_small_jumps(_stream(layer=Layer.SMALL), (0.2, 0.7), model)
     assert np.allclose(s.compensator, 0.5 * model.small_mean_measure())
     assert all(0.2 < e.time <= 0.7 and e.band == "U" for e in s.events)
+
+
+@pytest.mark.parametrize("rate", [0.5, 30.0, 900.0])  # 900 * 0.02 > 10 takes numpy's other Poisson sampler
+def test_step_events_equal_drawing_step_by_step(rate):
+    band = LevyBand(rate, RadialExponential(2, 0.1, 2.0))
+    grid_times = np.linspace(0.0, 1.0, 51)
+    for particle in range(20):
+        by_step = _stream(seed=17, particle=particle, layer=Layer.SMALL).generator()
+        ahead = _stream(seed=17, particle=particle, layer=Layer.SMALL).generator()
+        want = []
+        for k in range(grid_times.size - 1):
+            t, z = _draw_poisson_events(by_step, float(grid_times[k]), float(grid_times[k + 1]), band, True)
+            if t.size:
+                want.append((k, t, z))
+        got = _draw_step_events(ahead, grid_times, band)
+        assert [k for k, _, _ in got] == [k for k, _, _ in want]
+        for (_, ta, za), (_, tb, zb) in zip(got, want):
+            assert np.array_equal(ta, tb) and np.array_equal(za, zb)
+        # the generator ends where the step-by-step draws leave it
+        assert ahead.random() == by_step.random()
 
 
 def test_same_stream_reproduces_identical_event_sequences():

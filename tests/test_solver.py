@@ -6,10 +6,12 @@ identical random numbers, so equality is exact or the layout is broken.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from levyfield.chaos import PoCConfig, strong_poc_replication
 from levyfield.coefficients import CoefficientSet, build_cubic_interaction, build_frozen, build_linear_meanfield
 from levyfield.errors import ConfigurationError, DivergenceError, NonConvergenceError
 from levyfield.initial import normal_initial, point_initial
@@ -18,16 +20,18 @@ from levyfield.noise import no_noise
 from levyfield.solver import (
     SolverConfig,
     TimeGrid,
+    _draw_tape,
+    _event_sums,
     integrate_decoupled,
     picard_fixed_point,
     resolve_gamma,
     simulate_coupled,
     simulate_particle_system,
 )
-from levyfield.streams import EXP_MAIN, StreamContext
+from levyfield.streams import EXP_MAIN, Layer, StreamContext
 from levyfield.wasserstein import flow_distance
 
-from conftest import assert_paths_equal, make_levy, quick_config, small_only_levy
+from conftest import assert_paths_equal, count_generators, make_levy, quick_config, small_only_levy
 
 
 GRID = TimeGrid.regular(1.0, 0.05)
@@ -205,6 +209,21 @@ def test_coupled_pair_shares_noise_and_separates_only_through_the_measure():
         assert np.array_equal(pa.times, pb.times)
 
 
+def test_coupled_sup_errors_range_over_the_realized_grid():
+    # a state-dependent big jump scales the gap at its arrival, between grid times
+    levy = make_levy(big_rate=4.0)
+    coeffs = replace(build_linear_meanfield(levy, dim=1, beta=2.0, gamma_f=0.2), big_jump=lambda X, Z, ctx: X * Z)
+    ref = simulate_particle_system(coeffs, 64, INIT, levy, GRID, CTX.with_(replica=2))
+    out = simulate_coupled(coeffs, 16, INIT, levy, GRID, CTX, ref.flow, record_paths=True)
+    on_paths = np.array([
+        np.sqrt(((pa.states - pb.states) ** 2).sum(axis=1)).max()
+        for pa, pb in zip(out.interacting.paths, out.limit.paths)
+    ])
+    assert np.array_equal(out.sup_errors, on_paths)
+    on_grid = simulate_coupled(coeffs, 16, INIT, levy, GRID, CTX, ref.flow).sup_errors
+    assert np.all(on_grid <= out.sup_errors) and np.any(on_grid < out.sup_errors)
+
+
 def test_coupled_gap_vanishes_when_the_system_reads_the_same_flow():
     # frozen coefficients ignore the measure entirely: gap is exactly zero
     levy = make_levy()
@@ -289,3 +308,80 @@ def test_crn_off_resamples_noise_across_iterations():
     assert on.trace[0] == off_trace[0]
     assert on.trace[1:3] != off_trace[1:3]
     assert min(off_trace) > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# event tape reuse
+# ---------------------------------------------------------------------------
+
+
+def test_event_sums_equal_summing_each_particle_alone():
+    rng = np.random.default_rng(3)
+    owner = np.repeat([0, 2, 3, 7, 8, 11], [1, 9, 3, 9, 140, 2])
+    vals = rng.normal(size=(owner.size, 2)) * 10.0 ** rng.uniform(-6, 6, size=(owner.size, 1))
+    owners, sums = _event_sums(vals, owner)
+    assert owners.tolist() == [0, 2, 3, 7, 8, 11]
+    for j, total in zip(owners, sums):
+        assert np.array_equal(total, vals[owner == j].sum(axis=0))
+
+
+def _tape_arrays(tape):
+    arrays = [tape.x0]
+    for events in (tape.small, tape.big):
+        arrays += [events.row, events.time, events.mark, events.offsets]
+    return arrays
+
+
+def test_tape_prefix_equals_tape_drawn_for_fewer_particles():
+    levy = make_levy(big_rate=3.0)
+    coeffs = build_frozen(levy, dim=1, beta=2.0, a=1.0, gamma_f=0.3, gamma_g=0.2)
+    full = _draw_tape(coeffs, levy, GRID, CTX, INIT, 40)
+    assert full.small.row.size and full.big.row.size
+    for n in (1, 7, 40):
+        direct = _draw_tape(coeffs, levy, GRID, CTX, INIT, n)
+        for a, b in zip(_tape_arrays(full.head(n)), _tape_arrays(direct)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("family", ["linear", "frozen-big"])
+def test_coupled_run_on_a_shared_tape_equals_run_drawing_its_own(family):
+    if family == "linear":
+        levy = small_only_levy(rate=2.0)
+        coeffs = build_linear_meanfield(levy, dim=1, beta=2.0, gamma_f=0.2)
+    else:
+        levy = make_levy(big_rate=3.0)
+        coeffs = build_frozen(levy, dim=1, beta=2.0, a=1.0, gamma_f=0.3, gamma_g=0.2)
+    ref = simulate_particle_system(coeffs, 32, INIT, levy, GRID, CTX.with_(replica=5))
+    tape = _draw_tape(coeffs, levy, GRID, CTX, INIT, 24)
+    for n in (8, 24):
+        own = simulate_coupled(coeffs, n, INIT, levy, GRID, CTX, ref.flow, record_paths=True)
+        shared = simulate_coupled(
+            coeffs, n, INIT, levy, GRID, CTX, ref.flow, record_paths=True, tape=tape.head(n)
+        )
+        assert np.array_equal(own.sup_errors, shared.sup_errors)
+        assert np.array_equal(own.final_errors, shared.final_errors)
+        for pa, pb in zip(own.interacting.paths + own.limit.paths, shared.interacting.paths + shared.limit.paths):
+            assert_paths_equal(pa, pb)
+    with pytest.raises(ConfigurationError):
+        simulate_coupled(coeffs, 8, INIT, levy, GRID, CTX, ref.flow, tape=tape)
+
+
+def test_strong_replication_mints_each_stream_once(monkeypatch):
+    levy = small_only_levy(rate=0.5)
+    coeffs = build_linear_meanfield(levy, dim=1, beta=2.0, gamma_f=0.2)
+    poc = PoCConfig(p=1.0, n_grid=[8, 16, 32], replications=1)
+    ref = simulate_particle_system(coeffs, 64, INIT, levy, GRID, CTX.with_(replica=7))
+    counts = count_generators(monkeypatch)
+    strong_poc_replication(coeffs, levy, GRID, INIT, poc, quick_config(), 101, 0, ref.flow)
+    assert counts == {Layer.INIT: 32, Layer.SMALL: 32}
+
+
+@pytest.mark.parametrize("passes", [2, 6])
+def test_crn_picard_mints_one_small_stream_per_particle_for_any_pass_count(monkeypatch, passes):
+    levy = small_only_levy()
+    coeffs = build_cubic_interaction(levy, dim=1, beta=2.0)
+    counts = count_generators(monkeypatch)
+    with pytest.raises(NonConvergenceError) as err:
+        picard_fixed_point(coeffs, INIT, levy, GRID, quick_config(paths=48, tol=1e-12, max_iter=passes, gamma=1.0), CTX)
+    assert len(err.value.trace) == passes
+    assert counts == {Layer.INIT: 48, Layer.SMALL: 48}
