@@ -45,7 +45,6 @@ from .measures import EmpiricalMeasure, MeasureFlow, beta_norm, interaction_term
 from .noise import (
     AnnulusUniform,
     FixedMark,
-    JumpEvent,
     LevyBand,
     LevyModel,
     MARK_SAMPLERS,
@@ -54,8 +53,6 @@ from .noise import (
     no_noise,
     nu_expectation,
     register_mark_sampler,
-    sample_big_jumps,
-    sample_small_jumps,
     v_beta_moment,
 )
 from .solver import (

@@ -168,7 +168,8 @@ def build_cubic_interaction(
     if identity_fast:
 
         def interaction(X, ctx: _CloudStats):
-            t2 = _sq_norms(X) - 2.0 * (X @ ctx.mean) + ctx.abs2
+            # a row sum, not BLAS gemv: a row's value must not depend on its batch
+            t2 = _sq_norms(X) - 2.0 * (X * ctx.mean).sum(axis=1) + ctx.abs2
             return np.sqrt(np.maximum(t2, 0.0))
 
     else:

@@ -133,10 +133,10 @@ def sample_common_realization(
     v_times, v_marks = np.empty(0), np.empty((0, d))
     if model.small is not None and model.small.rate > 0.0:
         gen = stream_ctx.generator(0, Layer.COMMON_SMALL)
-        u_times, u_marks = _draw_poisson_events(gen, 0.0, horizon, model.small, require_interior=True)
+        u_times, u_marks = _draw_poisson_events(gen, 0.0, horizon, model.small)
     if model.big is not None and model.big.rate > 0.0:
         gen = stream_ctx.generator(0, Layer.COMMON_BIG)
-        v_times, v_marks = _draw_poisson_events(gen, 0.0, horizon, model.big, require_interior=True)
+        v_times, v_marks = _draw_poisson_events(gen, 0.0, horizon, model.big)
     return CommonRealization(
         model=model, u_times=u_times, u_marks=u_marks, v_times=v_times, v_marks=v_marks
     )

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import platform
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+import scipy
 import yaml
 
 from . import __version__
@@ -326,6 +329,8 @@ class RunManifest:
     jobs: int = 1
     outputs: list = field(default_factory=list)
     exit_code: int = 0
+    # the bytes of a run rest on numpy's Philox, Poisson and random() algorithms
+    environment: dict = field(default_factory=dict)
 
     @staticmethod
     def start(spec: ExperimentSpec, jobs: int) -> "RunManifest":
@@ -335,6 +340,12 @@ class RunManifest:
             config_sha256=config_digest(spec.raw),
             started_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
             jobs=jobs,
+            environment={
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "platform": platform.platform(),
+            },
         )
 
     def write(self, out_dir) -> Path:

@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, IntegrabilityError
-from .streams import EXP_AUX, Layer, NoiseStream
+from .streams import EXP_AUX, Layer, NoiseStream, Rekeyable, StreamBlock
 
 __all__ = [
     "MarkSampler",
@@ -44,11 +44,7 @@ __all__ = [
     "register_mark_sampler",
     "LevyBand",
     "LevyModel",
-    "JumpEvent",
-    "SmallJumpSample",
     "NuEstimate",
-    "sample_big_jumps",
-    "sample_small_jumps",
     "nu_expectation",
     "v_beta_moment",
 ]
@@ -67,14 +63,25 @@ class MarkSampler:
     ``draw(gen, size)`` returning a ``(size, dim)`` array.  ``radial_cdf``
     and ``abs_moment`` are optional closed forms used by statistical tests
     and exact integrals; leave them as None / NotImplemented when absent.
+
+    A sampler whose ``draw`` consumes nothing but ``uniforms`` blocks of
+    ``size`` ``random()`` doubles, one block after another, sets
+    ``uniforms`` and implements ``from_uniforms``; its marks are then
+    drawn for many streams at once.  Any other sampler leaves ``uniforms``
+    as None and is always drawn through ``draw``.
     """
 
     dim: int
     r_lo: float
     r_hi: float
     mean: np.ndarray
+    uniforms: Optional[int] = None
 
     def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """The ``(size, dim)`` marks ``draw`` makes from the ``(uniforms, size)`` doubles ``u``."""
         raise NotImplementedError
 
     def radial_cdf(self, r):
@@ -113,14 +120,23 @@ class AnnulusUniform(MarkSampler):
         self.r_lo = float(r_lo)
         self.r_hi = float(r_hi)
         self.mean = np.zeros(self.dim)
+        # in 1D the direction is a fair sign, one more random() per mark
+        self.uniforms = 2 if self.dim == 1 else None
 
-    def draw(self, gen, size):
+    def _radius(self, u):
         d = self.dim
-        u = gen.random(size)
         radius = (self.r_lo**d + u * (self.r_hi**d - self.r_lo**d)) ** (1.0 / d)
         # the band never contains the origin
         np.maximum(radius, np.nextafter(0.0, 1.0), out=radius)
-        return _uniform_directions(gen, size, d) * radius[:, None]
+        return radius
+
+    def draw(self, gen, size):
+        radius = self._radius(gen.random(size))
+        return _uniform_directions(gen, size, self.dim) * radius[:, None]
+
+    def from_uniforms(self, u):
+        sign = np.where(u[1] < 0.5, -1.0, 1.0)[:, None]
+        return sign * self._radius(u[0])[:, None]
 
     def radial_cdf(self, r):
         d = self.dim
@@ -186,9 +202,13 @@ class FixedMark(MarkSampler):
         self.r_hi = norm
         self.mean = z
         self._mark = z
+        self.uniforms = 0
 
     def draw(self, gen, size):
         return np.broadcast_to(self._mark, (size, self.dim)).copy()
+
+    def from_uniforms(self, u):
+        return self.draw(None, u.shape[1])
 
     def abs_moment(self, q):
         return self.r_lo**q
@@ -321,16 +341,7 @@ def no_noise(dim: int) -> LevyModel:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JumpEvent:
-    """One realized jump: arrival time, mark, and band tag ('U' or 'V')."""
-
-    time: float
-    mark: np.ndarray
-    band: str
-
-
-def _draw_poisson_events(gen, t0, t1, band, require_interior=False):
+def _draw_poisson_events(gen, t0, t1, band):
     """Events of one band on ``(t0, t1]`` from a live generator.
 
     Count is Poisson(rate * (t1 - t0)); given the count, arrival times are
@@ -342,17 +353,12 @@ def _draw_poisson_events(gen, t0, t1, band, require_interior=False):
     dt = t1 - t0
     if band is None or band.rate == 0.0 or dt <= 0.0:
         return np.empty(0), np.empty((0, 0))
-    return _draw_arrivals(gen, t0, t1, int(gen.poisson(band.rate * dt)), band, require_interior)
-
-
-def _draw_arrivals(gen, t0, t1, count, band, require_interior):
-    """Arrival times and marks of ``count`` events on ``(t0, t1]``, after the count draw."""
+    count = int(gen.poisson(band.rate * dt))
     if count == 0:
         return np.empty(0), np.empty((0, band.sampler.dim))
     times = np.sort(gen.uniform(t0, t1, count))
-    if require_interior:
-        # open interval on the left: shift a (probability-zero) tie off t0
-        times[times == t0] = np.nextafter(t0, t1)
+    # open interval on the left: shift a (probability-zero) tie off t0
+    times[times == t0] = np.nextafter(t0, t1)
     # distinct arrival times, also a probability-zero event under ties
     for i in range(1, count):
         if times[i] <= times[i - 1]:
@@ -361,77 +367,102 @@ def _draw_arrivals(gen, t0, t1, count, band, require_interior):
     return times, marks
 
 
-def _draw_step_events(gen, grid_times, band):
-    """Events of one band on every step ``(t_k, t_{k+1}]`` of a grid, one step after another.
+_CHUNK_ROWS = 1024  # streams whose raw outputs are held at once
 
-    Bit-equal to calling :func:`_draw_poisson_events` with
-    ``require_interior=True`` on each step in turn, and it leaves the
-    generator where those calls would.  The counts of all remaining steps
-    are drawn in one vectorized call; at the first nonzero one the
-    generator is rewound and replayed up to that step's count, its
-    arrivals are drawn, and the look-ahead resumes after it.  Returns
-    ``(step, times, marks)`` for the steps that hold events.
+
+def _no_events(dim):
+    return np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0), np.empty((0, dim))
+
+
+def _poisson_counts(block, lam):
+    """numpy's ``poisson(lam)`` for ``0 <= lam < 10`` on every stream of ``block``.
+
+    numpy's multiplication method: multiply ``random()`` doubles until the
+    product falls to ``exp(-lam)``; the count is the number of doubles
+    before that one.
     """
-    lam = band.rate * (grid_times[1:] - grid_times[:-1])
-    bit_gen = gen.bit_generator
-    out = []
-    k = 0
-    while k < lam.size:
-        state = bit_gen.state
-        counts = gen.poisson(lam[k:])
-        hits = np.flatnonzero(counts)
-        if hits.size == 0:
-            break
-        i = k + int(hits[0])
-        bit_gen.state = state
-        gen.poisson(lam[k:i + 1])
-        t0, t1 = float(grid_times[i]), float(grid_times[i + 1])
-        out.append((i,) + _draw_arrivals(gen, t0, t1, int(counts[hits[0]]), band, True))
-        k = i + 1
-    return out
+    counts = np.zeros(block.size, dtype=np.int64)
+    if lam == 0.0:
+        return counts  # numpy draws nothing
+    enlam = math.exp(-lam)
+    prod = np.ones(block.size)
+    live = np.arange(block.size)
+    while live.size:
+        prod[live] *= block.doubles(live, 1)[:, 0]
+        live = live[prod[live] > enlam]
+        counts[live] += 1
+    return counts
 
 
-def sample_big_jumps(stream: NoiseStream, horizon: float, model: LevyModel) -> list[JumpEvent]:
-    """Big-band events on ``(0, horizon]`` for one stream.
+def _arrival_times(u, t0, t1):
+    """Sorted arrival times on ``(t0, t1]`` from each row of doubles ``u``, as :func:`_draw_poisson_events` makes them."""
+    times = np.sort(t0 + (t1 - t0) * u, axis=1)
+    times[times == t0] = np.nextafter(t0, t1)
+    for i in range(1, times.shape[1]):
+        tie = times[:, i] <= times[:, i - 1]
+        times[tie, i] = np.nextafter(times[tie, i - 1], math.inf)
+    return times
 
-    Deterministic in the stream address: repeated calls return the same
-    list.  With an absent or zero-rate big band the list is empty and the
-    stream is left untouched.
+
+def _draw_block_steps(block, grid_times, band):
+    """Events of ``band`` on every step of ``grid_times`` for the streams of ``block``.
+
+    Per step, every stream draws its count, then its arrival times, then
+    its marks, exactly as :func:`_draw_poisson_events` on that stream's
+    generator would.  Counts with ``lam >= 10`` (numpy's PTRS sampler) and
+    marks of a sampler without ``uniforms`` are handed off to the
+    generator.  Returns ``(row, step, time, mark)`` in (step, row, time)
+    order.
     """
-    if horizon < 0:
-        raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
-    if model.big is None or model.big.rate == 0.0:
-        return []
-    gen = stream.generator()
-    times, marks = _draw_poisson_events(gen, 0.0, horizon, model.big, require_interior=True)
-    return [JumpEvent(float(t), m, "V") for t, m in zip(times, marks)]
+    sampler = band.sampler
+    out = [_no_events(sampler.dim)]
+    for k in range(grid_times.size - 1):
+        t0, t1 = float(grid_times[k]), float(grid_times[k + 1])
+        lam = band.rate * (t1 - t0)
+        if lam >= 10.0:
+            for j in range(block.size):
+                t, z = block.handoff(j, lambda g: _draw_poisson_events(g, t0, t1, band))
+                if t.size:
+                    out.append((np.full(t.size, j), np.full(t.size, k), t, z))
+            continue
+        counts = _poisson_counts(block, lam)
+        hit = np.flatnonzero(counts)
+        for c in np.unique(counts[hit]):
+            rows = hit[counts[hit] == c]
+            times = _arrival_times(block.doubles(rows, c), t0, t1)
+            if sampler.uniforms is not None:
+                u = block.doubles(rows, sampler.uniforms * c).reshape(rows.size, sampler.uniforms, c)
+                marks = sampler.from_uniforms(u.transpose(1, 0, 2).reshape(sampler.uniforms, rows.size * c))
+            else:
+                marks = np.concatenate([block.handoff(j, lambda g: sampler.draw(g, c)) for j in rows])
+            out.append((np.repeat(rows, c), np.full(rows.size * c, k), times.ravel(), marks))
+    row, step, time, mark = (np.concatenate(column) for column in zip(*out))
+    order = np.lexsort((row, step))
+    return row[order], step[order], time[order], mark[order]
 
 
-@dataclass(frozen=True)
-class SmallJumpSample:
-    """Small-band events on an interval plus the raw mark compensator.
+def _draw_block_events(keys, grid_times, band, generator: Rekeyable):
+    """Events of ``band`` on every step of ``grid_times`` for the streams keyed by ``keys``.
 
-    ``compensator`` is ``(t1 - t0) * integral z nu(dz; U)``, the quantity a
-    linear-in-z integrand subtracts; nonlinear integrands instead
-    compensate with ``dt * nu(f(x, mu, .); U)`` via :func:`nu_expectation`.
+    Row ``j`` draws exactly what :func:`_draw_poisson_events` draws step
+    after step on a generator of stream ``keys[j]``.  The streams are
+    drawn :data:`_CHUNK_ROWS` at a time, so the raw outputs held at once
+    stay bounded.  ``generator`` takes the draws that cannot be made from
+    raw outputs.  Returns ``(row, step, time, mark)`` in (step, row, time)
+    order.
     """
-
-    events: list[JumpEvent]
-    compensator: np.ndarray
-
-
-def sample_small_jumps(stream: NoiseStream, interval, model: LevyModel) -> SmallJumpSample:
-    """Small-band events and the mark compensator on ``(t0, t1]``."""
-    t0, t1 = float(interval[0]), float(interval[1])
-    if t1 < t0:
-        raise ConfigurationError(f"interval must have t1 >= t0, got ({t0}, {t1})")
-    comp = (t1 - t0) * model.small_mean_measure()
-    if model.small is None or model.small.rate == 0.0:
-        return SmallJumpSample([], comp)
-    gen = stream.generator()
-    times, marks = _draw_poisson_events(gen, t0, t1, model.small, require_interior=True)
-    events = [JumpEvent(float(t), m, "U") for t, m in zip(times, marks)]
-    return SmallJumpSample(events, comp)
+    lam = band.rate * float(grid_times[-1] - grid_times[0])
+    per_event = 2 + (band.sampler.uniforms if band.sampler.uniforms is not None else band.sampler.dim + 1)
+    # enough for nearly every stream of a chunk; a longer one grows the buffer
+    words = int(grid_times.size - 1 + per_event * (lam + 6.0 * math.sqrt(lam) + 4.0))
+    parts = [_no_events(band.sampler.dim)]
+    for a in range(0, keys.shape[0], _CHUNK_ROWS):
+        block = StreamBlock(keys[a:a + _CHUNK_ROWS], generator, words)
+        row, step, time, mark = _draw_block_steps(block, grid_times, band)
+        parts.append((row + a, step, time, mark))
+    row, step, time, mark = (np.concatenate(column) for column in zip(*parts))
+    order = np.argsort(step, kind="stable")
+    return row[order], step[order], time[order], mark[order]
 
 
 # ---------------------------------------------------------------------------

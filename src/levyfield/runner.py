@@ -44,6 +44,7 @@ from .common_noise import (
 )
 from .config import ExperimentSpec, RunManifest, validate_and_build
 from .errors import ConfigurationError, DivergenceError, IntegrabilityError, NonConvergenceError
+from .measures import EmpiricalMeasure
 from .solver import picard_fixed_point, resolve_gamma, simulate_particle_system
 from .streams import EXP_MAIN, StreamContext
 
@@ -65,6 +66,16 @@ def _write_csv(path: Path, header, rows):
 
 def _write_json(path: Path, obj):
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n")
+
+
+def _witness_record(witness: dict) -> dict:
+    """A falsification witness as numbers: states as lists, measures as their point arrays."""
+    out = {}
+    for name, value in witness.items():
+        if isinstance(value, EmpiricalMeasure):
+            value = value.points
+        out[name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
 
 
 def _error_record(exc) -> dict:
@@ -341,7 +352,7 @@ def _run_check_assumptions(spec: ExperimentSpec, out: Path, jobs: int):
     for note in skipped:
         print(f"[SKIP] {note}")
     _write_json(out / "result.json", {
-        "reports": [asdict(r) for r in reports],
+        "reports": [dict(asdict(r), witness=_witness_record(r.witness)) for r in reports],
         "skipped": skipped,
         "passed": all(r.passed for r in reports) and bool(reports),
     })
@@ -389,7 +400,6 @@ def wasserstein_selftest(seed: int = 0, instances: int = 200) -> list[tuple[str,
     """
     from itertools import permutations
 
-    from .measures import EmpiricalMeasure
     from .wasserstein import w_p_1d, w_p_exact
 
     rng = np.random.default_rng(seed)

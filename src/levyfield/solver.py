@@ -32,8 +32,13 @@ step by step over the uniform grid, then the big-band events for the
 whole horizon.  A run only reads its tape, so runs that share streams
 share one tape: the coupled pair, every particle count of a replication
 (a prefix of the largest count's tape), and every pass of a
-common-random-numbers fixed point.  Neither schedule nor particle count
-ever reorders another particle's draws.  Consequences tested elsewhere:
+common-random-numbers fixed point.  Each layer of a tape is drawn for
+all its particles at once from the raw Philox outputs of their streams
+(:class:`~levyfield.streams.StreamBlock`); a draw that cannot be made
+from raw outputs is handed off to one generator moved to the stream's
+key and position, so every stream yields exactly what a generator of its
+own would.  Neither schedule nor particle count ever reorders another
+particle's draws.  Consequences tested elsewhere:
 deleting a zero-rate band changes nothing bit for bit, a one-particle
 system equals a decoupled run against its own delta flow, and permuting
 particle ids permutes the output paths.
@@ -50,8 +55,8 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .errors import ConfigurationError, DivergenceError, NonConvergenceError
 from .measures import EmpiricalMeasure, MeasureFlow
-from .noise import LevyModel, _draw_poisson_events, _draw_step_events
-from .streams import MAX_PARTICLE, Layer, StreamContext
+from .noise import LevyModel, _draw_block_events
+from .streams import MAX_PARTICLE, Layer, Rekeyable, StreamContext
 from .wasserstein import flow_distance
 
 __all__ = [
@@ -257,12 +262,8 @@ class _Events:
     offsets: np.ndarray
 
     @staticmethod
-    def from_draws(draws, n_steps, d) -> "_Events":
-        """Events from ``(row, step, times, marks)`` draws made particle by particle."""
-        row = np.concatenate([np.full(t.size, j) for j, _, t, _ in draws] + [np.empty(0, dtype=int)])
-        step = np.concatenate([np.broadcast_to(k, t.shape) for _, k, t, _ in draws] + [np.empty(0, dtype=int)])
-        time = np.concatenate([t for _, _, t, _ in draws] + [np.empty(0)])
-        mark = np.concatenate([m for _, _, _, m in draws] + [np.empty((0, d))])
+    def from_draws(row, step, time, mark, n_steps) -> "_Events":
+        """Events from flat draws in (row, time) order within each step."""
         # a stable sort by step keeps each step's events in (row, time) order
         order = np.argsort(step, kind="stable")
         return _Events(row[order], time[order], mark[order], np.searchsorted(step[order], np.arange(n_steps + 1)))
@@ -333,6 +334,11 @@ def _draw_tape(
     ``initial`` is a sampler, drawn from each particle's INIT stream, or
     an ``(n, d)`` array of given states, which draws nothing.  A band is
     drawn only when it is live and the coefficients use it.
+
+    The small band is drawn by the block drawer over the uniform grid, the
+    big band over the one-step grid ``[0, T]``; initial draws go through
+    the re-keyed generator, since numpy's ziggurat normals cannot be made
+    from raw outputs.
     """
     d = coeffs.dim
     if levy.dim != d:
@@ -340,30 +346,26 @@ def _draw_tape(
     ids = list(particle_ids) if particle_ids is not None else list(range(n))
     if len(ids) != n:
         raise ConfigurationError(f"{n} particles but {len(ids)} particle ids")
+    gen = Rekeyable()
     if callable(initial):
         x0 = np.empty((n, d))
-        for j, pid in enumerate(ids):
-            x0[j] = initial(stream_ctx.generator(pid, Layer.INIT))
+        for j, key in enumerate(stream_ctx.keys(ids, Layer.INIT)):
+            x0[j] = initial(gen.at(key))
     else:
         x0 = np.array(initial, dtype=float).reshape(n, d)
 
     times = grid.times
     small = big = None
     if levy.small is not None and levy.small.rate > 0.0 and coeffs.small_jump is not None:
-        small = _Events.from_draws(
-            [(j, k, ut, um) for j, pid in enumerate(ids)
-             for k, ut, um in _draw_step_events(stream_ctx.generator(pid, Layer.SMALL), times, levy.small)],
-            grid.n_steps, d,
-        )
+        row, step, time, mark = _draw_block_events(stream_ctx.keys(ids, Layer.SMALL), times, levy.small, gen)
+        small = _Events.from_draws(row, step, time, mark, grid.n_steps)
     if levy.big is not None and levy.big.rate > 0.0 and coeffs.big_jump is not None:
-        draws = []
-        for j, pid in enumerate(ids):
-            vt, vm = _draw_poisson_events(
-                stream_ctx.generator(pid, Layer.BIG), 0.0, grid.horizon, levy.big, require_interior=True
-            )
-            # uniform step (t_k, t_{k+1}] holding each arrival
-            draws.append((j, np.searchsorted(times, vt, side="left") - 1, vt, vm))
-        big = _Events.from_draws(draws, grid.n_steps, d)
+        row, _, time, mark = _draw_block_events(
+            stream_ctx.keys(ids, Layer.BIG), np.array([0.0, grid.horizon]), levy.big, gen
+        )
+        # uniform step (t_k, t_{k+1}] holding each arrival
+        step = np.searchsorted(times, time, side="left") - 1
+        big = _Events.from_draws(row, step, time, mark, grid.n_steps)
     return _EventTape(stream_ctx, x0, small, big)
 
 

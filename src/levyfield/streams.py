@@ -10,6 +10,18 @@ and the address scheme, never the execution order.
 
 Field widths (bits): experiment 16, replica 16, particle 28, layer 4.
 Addresses outside those bounds are configuration errors.
+
+A stream is numpy's ``Philox`` (Philox4x64-10, Salmon et al., SC'11)
+keyed by its address: raw output ``i`` is word ``i % 4`` of the cipher
+applied to counter ``i // 4 + 1``, and ``random()`` turns one output
+into a double.  :func:`philox_words` computes those outputs for many keys
+at once in numpy, so a :class:`StreamBlock` reads the streams of a whole
+block of particles, one cursor per stream, without building a generator
+per particle.  A draw the block cannot reproduce from raw outputs (numpy's
+ziggurat normals, its PTRS Poisson sampler, a mark law defined only by
+its ``draw``) is handed off to one :class:`Rekeyable` generator, moved to
+the stream's key and cursor and read back afterwards, so every stream
+yields exactly the draws of ``NoiseStream(...).generator()``.
 """
 
 from __future__ import annotations
@@ -30,6 +42,12 @@ MAX_EXPERIMENT = (1 << _EXPERIMENT_BITS) - 1
 MAX_REPLICA = (1 << _REPLICA_BITS) - 1
 MAX_PARTICLE = (1 << _PARTICLE_BITS) - 1
 
+# Philox4x64-10 constants: round multipliers and key increments
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+
 
 class Layer(IntEnum):
     """Independent noise roles a single particle can consume."""
@@ -40,6 +58,29 @@ class Layer(IntEnum):
     COMMON_SMALL = 3  # compensated small-jump band of the common noise
     COMMON_BIG = 4    # big-jump band of the common noise
     AUX = 5           # everything else: checker trials, projections, MC integrals
+
+
+def _address_problems(seed, experiment, replica, particles, layer) -> list[str]:
+    problems = []
+    if not 0 <= seed < 1 << 64:
+        problems.append(f"seed {seed} outside [0, 2**64)")
+    if not 0 <= experiment <= MAX_EXPERIMENT:
+        problems.append(f"experiment {experiment} outside [0, {MAX_EXPERIMENT}]")
+    if not 0 <= replica <= MAX_REPLICA:
+        problems.append(f"replica {replica} outside [0, {MAX_REPLICA}]")
+    ids = np.asarray(particles)
+    bad = ids[(ids < 0) | (ids > MAX_PARTICLE)]
+    if bad.size:
+        problems.append(f"particle {bad[0]} outside [0, {MAX_PARTICLE}]")
+    if not 0 <= int(layer) < 1 << _LAYER_BITS:
+        problems.append(f"layer {layer} outside [0, {1 << _LAYER_BITS})")
+    return problems
+
+
+def _packed_ids(experiment, replica, particles, layer) -> np.ndarray:
+    """Bit-packed (experiment, replica, particle, layer) words, one per particle."""
+    word = (experiment << _REPLICA_BITS | replica) << (_PARTICLE_BITS + _LAYER_BITS) | int(layer)
+    return np.uint64(word) | np.asarray(particles).astype(np.uint64) << np.uint64(_LAYER_BITS)
 
 
 # Reserved experiment ids.  Orchestrators use these so that e.g. the
@@ -72,27 +113,13 @@ class NoiseStream:
     layer: Layer = Layer.AUX
 
     def __post_init__(self):
-        problems = []
-        if not 0 <= self.seed < 1 << 64:
-            problems.append(f"seed {self.seed} outside [0, 2**64)")
-        if not 0 <= self.experiment <= MAX_EXPERIMENT:
-            problems.append(f"experiment {self.experiment} outside [0, {MAX_EXPERIMENT}]")
-        if not 0 <= self.replica <= MAX_REPLICA:
-            problems.append(f"replica {self.replica} outside [0, {MAX_REPLICA}]")
-        if not 0 <= self.particle <= MAX_PARTICLE:
-            problems.append(f"particle {self.particle} outside [0, {MAX_PARTICLE}]")
-        if not 0 <= int(self.layer) < 1 << _LAYER_BITS:
-            problems.append(f"layer {self.layer} outside [0, {1 << _LAYER_BITS})")
+        problems = _address_problems(self.seed, self.experiment, self.replica, [self.particle], self.layer)
         if problems:
             raise ConfigurationError(problems)
 
     def packed_id(self) -> int:
         """Bit-pack (experiment, replica, particle, layer) into one word."""
-        word = self.experiment
-        word = (word << _REPLICA_BITS) | self.replica
-        word = (word << _PARTICLE_BITS) | self.particle
-        word = (word << _LAYER_BITS) | int(self.layer)
-        return word
+        return int(_packed_ids(self.experiment, self.replica, np.array([self.particle]), self.layer)[0])
 
     def generator(self) -> np.random.Generator:
         """Fresh generator for this address; same address, same draws."""
@@ -130,7 +157,128 @@ class StreamContext:
     def generator(self, particle: int, layer: Layer) -> np.random.Generator:
         return self.stream(particle, layer).generator()
 
+    def keys(self, particles, layer: Layer) -> np.ndarray:
+        """Philox keys ``(n, 2)`` of the particles' streams on ``layer``, one row per particle."""
+        problems = _address_problems(self.seed, self.experiment, self.replica, particles, layer)
+        if problems:
+            raise ConfigurationError(problems)
+        ids = _packed_ids(self.experiment, self.replica, particles, layer)
+        return np.stack([np.full(ids.size, self.seed, dtype=np.uint64), ids], axis=1)
+
     def with_(self, **kwargs) -> "StreamContext":
         fields = {"seed": self.seed, "experiment": self.experiment, "replica": self.replica}
         fields.update(kwargs)
         return StreamContext(**fields)
+
+
+# ---------------------------------------------------------------------------
+# many streams at once
+# ---------------------------------------------------------------------------
+
+
+def _mulhilo(a, m):
+    """High and low words of the 128-bit product ``a * m``, in 32-bit halves."""
+    a_lo, a_hi = a & _LOW32, a >> _32
+    m_lo, m_hi = m & _LOW32, m >> _32
+    lh, hl = a_lo * m_hi, a_hi * m_lo
+    mid = (a_lo * m_lo >> _32) + (lh & _LOW32) + (hl & _LOW32)
+    return a_hi * m_hi + (lh >> _32) + (hl >> _32) + (mid >> _32), a * m
+
+
+def philox_words(keys: np.ndarray, first_block: int, n_blocks: int) -> np.ndarray:
+    """Raw outputs ``4 * first_block .. 4 * (first_block + n_blocks) - 1`` of each key's stream.
+
+    ``keys`` is ``(n, 2)`` uint64; the result is ``(n, 4 * n_blocks)``
+    uint64, bit-equal to ``numpy.random.Philox(key=key).random_raw`` at
+    those positions.
+    """
+    shape = (keys.shape[0], n_blocks)
+    x0 = np.broadcast_to(np.arange(first_block + 1, first_block + n_blocks + 1, dtype=np.uint64), shape)
+    x1 = x2 = x3 = np.zeros(shape, dtype=np.uint64)
+    k0, k1 = keys[:, :1], keys[:, 1:]
+    with np.errstate(over="ignore"):
+        for r in range(10):
+            if r:
+                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+            hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
+            hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
+            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    return np.stack([x0, x1, x2, x3], axis=2).reshape(keys.shape[0], 4 * n_blocks)
+
+
+class Rekeyable:
+    """One numpy generator that can be moved to any stream and position.
+
+    Moving it sets the Philox state to ``(key, position)``, which costs a
+    few microseconds where building a new generator costs several times
+    that.  ``half`` is the bit generator's buffered 32-bit half
+    ``(has_uint32, uinteger)``, which ``random()`` never touches but
+    32-bit draws do.
+    """
+
+    def __init__(self):
+        self._bits = np.random.Philox(key=0)
+        self.generator = np.random.Generator(self._bits)
+
+    def at(self, key, position: int = 0, half=(0, 0)) -> np.random.Generator:
+        """The generator as it stands after ``position`` raw outputs of stream ``key``."""
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([position // 4, 0, 0, 0], dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": half[0],
+            "uinteger": half[1],
+        }
+        if position % 4:
+            # numpy recomputes the current block and skips the outputs already used
+            self._bits.random_raw(position % 4)
+        return self.generator
+
+    def tell(self):
+        """``(position, half)`` of the generator now."""
+        state = self._bits.state
+        position = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
+        return position, (state["has_uint32"], state["uinteger"])
+
+
+class StreamBlock:
+    """The raw outputs of many streams, read through one cursor per stream.
+
+    Row ``j`` is the stream keyed by ``keys[j]``.  The first ``words``
+    outputs of every stream are computed up front and the buffer grows
+    when a cursor runs past it.  :meth:`doubles` reproduces numpy's
+    ``random()``; :meth:`handoff` runs any other draw on ``generator``,
+    moved to the row's cursor, and moves the cursor to where it stopped.
+    """
+
+    def __init__(self, keys: np.ndarray, generator: Rekeyable, words: int = 0):
+        self.keys = keys
+        self.pos = np.zeros(keys.shape[0], dtype=np.int64)
+        self._raw = philox_words(keys, 0, -(-words // 4))
+        self._gen = generator
+        self._halves: dict[int, tuple] = {}
+
+    @property
+    def size(self) -> int:
+        return self.keys.shape[0]
+
+    def doubles(self, rows: np.ndarray, count: int) -> np.ndarray:
+        """The next ``count`` doubles of each of the (distinct) ``rows``, as ``(rows, count)``."""
+        at = self.pos[rows, None] + np.arange(count)
+        need = int(at.max()) + 1 if at.size else 0
+        have = self._raw.shape[1]
+        if need > have:
+            grow = -(-max(need, have + 32) // 4) - have // 4
+            self._raw = np.concatenate([self._raw, philox_words(self.keys, have // 4, grow)], axis=1)
+        self.pos[rows] += count
+        words = np.take(self._raw, at + (rows * self._raw.shape[1])[:, None])
+        return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+    def handoff(self, row: int, draw):
+        """``draw(generator)`` on stream ``row`` from its cursor; the cursor follows the draw."""
+        out = draw(self._gen.at(self.keys[row], int(self.pos[row]), self._halves.pop(row, (0, 0))))
+        self.pos[row], half = self._gen.tell()
+        if half[0]:
+            self._halves[row] = half
+        return out

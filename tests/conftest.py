@@ -67,13 +67,25 @@ def assert_paths_equal(pa, pb):
 
 
 def count_generators(monkeypatch) -> Counter:
-    """Count the generators minted from here on, by stream layer."""
+    """Count the streams drawn from here on, by stream layer.
+
+    A stream is drawn either through a generator of its own
+    (``NoiseStream.generator``) or as one row of a block of streams
+    (``StreamContext.keys``); both are counted.
+    """
     counts = Counter()
     mint = NoiseStream.generator
+    keys = StreamContext.keys
 
     def counting(stream):
         counts[stream.layer] += 1
         return mint(stream)
 
+    def counting_keys(ctx, particles, layer):
+        out = keys(ctx, particles, layer)
+        counts[layer] += out.shape[0]
+        return out
+
     monkeypatch.setattr(NoiseStream, "generator", counting)
+    monkeypatch.setattr(StreamContext, "keys", counting_keys)
     return counts

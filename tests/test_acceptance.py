@@ -22,7 +22,7 @@ from levyfield.config import load_config, validate_and_build
 from levyfield.errors import DivergenceError
 from levyfield.initial import normal_initial, point_initial
 from levyfield.measures import EmpiricalMeasure, MeasureFlow
-from levyfield.noise import AnnulusUniform, LevyBand, LevyModel, no_noise, sample_big_jumps
+from levyfield.noise import AnnulusUniform, LevyBand, LevyModel, _draw_block_events, no_noise
 from levyfield.runner import PASS, run_experiment, wasserstein_selftest
 from levyfield.solver import (
     SolverConfig,
@@ -31,7 +31,7 @@ from levyfield.solver import (
     resolve_gamma,
     simulate_particle_system,
 )
-from levyfield.streams import EXP_MAIN, Layer, NoiseStream, StreamContext
+from levyfield.streams import EXP_MAIN, Layer, NoiseStream, Rekeyable, StreamContext
 from levyfield.wasserstein import flow_distance, w_p_1d, w_p_exact
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -293,13 +293,9 @@ def test_criterion_09_noise_statistics(capsys):
         big=LevyBand(rate=2.0, sampler=AnnulusUniform(1, 1.0, 2.0)),
     )
     reps, lam = 10_000, 2.0
-    counts = np.array([
-        len(sample_big_jumps(
-            NoiseStream(seed=11, experiment=0, replica=0, particle=i, layer=Layer.BIG),
-            1.0, model,
-        ))
-        for i in range(reps)
-    ])
+    keys = StreamContext(seed=11, experiment=0, replica=0).keys(np.arange(reps), Layer.BIG)
+    row = _draw_block_events(keys, np.array([0.0, 1.0]), model.big, Rekeyable())[0]
+    counts = np.bincount(row, minlength=reps)
     kmax = int(counts.max())
     observed = np.bincount(counts, minlength=kmax + 1).astype(float)
     expected = np.array([math.exp(-lam) * lam**k / math.factorial(k) for k in range(kmax + 1)]) * reps

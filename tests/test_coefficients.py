@@ -35,6 +35,23 @@ def test_cubic_fast_path_matches_generic_kernel_route():
         )
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_cubic_drift_of_a_row_does_not_depend_on_its_batch(d):
+    levy = make_levy(dim=d)
+    coeffs = build_cubic_interaction(levy, dim=d, beta=2.0)
+    rng = np.random.default_rng(21)
+    ctx = coeffs.prepare(_cloud(rng, n=64, d=d))
+    for n in (1, 2, 3, 5, 8, 17, 64, 1000):
+        X = 0.3 * rng.standard_normal((n, d))  # small states, so the interaction term shows in the drift
+        whole = coeffs.drift(X, ctx)
+        assert all(np.array_equal(whole[j], coeffs.drift(X[j:j + 1], ctx)[0]) for j in range(n))
+        if d == 1:
+            # in one dimension the row sum equals the matrix-vector product, so no 1D run moves
+            t2 = (X * X).sum(axis=1) - 2.0 * (X @ ctx.mean) + ctx.abs2
+            gemv = X - X * (X * X).sum(axis=1)[:, None] + np.sqrt(np.maximum(t2, 0.0))[:, None]
+            assert np.array_equal(whole, gemv)
+
+
 def test_cubic_damping_guard():
     levy = make_levy()
     with pytest.raises(ConfigurationError):

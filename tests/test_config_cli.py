@@ -6,10 +6,12 @@ import re
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from levyfield.assumptions import check_one_sided_lipschitz
 from levyfield.cli import main
 from levyfield.config import config_digest, load_config, validate_and_build
 from levyfield.errors import ConfigurationError
@@ -202,6 +204,8 @@ def test_cli_simulate_writes_outputs_and_manifest(tmp_path):
     assert manifest["config_sha256"] == config_digest(cfg)
     assert manifest["outputs"][-1] == "manifest.json"
     assert manifest["wall_seconds"] >= 0.0
+    _assert_valid(manifest, "manifest.schema.json")
+    assert manifest["environment"]["numpy"] == np.__version__
     payload = json.loads((out / "result.json").read_text())
     assert payload["n"] == 16 and len(payload["final_mean"]) == 1
     lines = (out / "timeseries.csv").read_text().splitlines()
@@ -338,3 +342,23 @@ def test_cli_version_and_help():
     for sub in ["simulate", "picard", "poc", "strong-poc", "moments",
                 "common-noise", "check-assumptions", "wasserstein-selftest"]:
         assert sub in help_out.output
+
+
+def test_check_assumptions_writes_witnesses_as_numbers(tmp_path):
+    cfg = load_config(CONFIG_DIR / "check_assumptions_cubic.yaml")
+    cfg["experiment"]["trials"] = 200
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["check-assumptions", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    doc = _strict_json(out / "result.json")
+    _assert_valid(doc, "assumptions_result.schema.json")
+    witness = doc["reports"][0]["witness"]
+    assert len(witness["mu1"]) > 1 and all(isinstance(v, float) for v in witness["mu1"][0])
+    # the written witness replays: its x is the checker's x, bit for bit
+    spec = validate_and_build(cfg)
+    report = check_one_sided_lipschitz(
+        spec.coeffs, spec.levy, spec.coeffs.declared_one_sided, variant="A1", trials=200, seed=spec.seed,
+        tolerance=1e-6,
+    )
+    assert np.array_equal(np.array(witness["x"]), report.witness["x"])
+    assert np.array_equal(np.array(witness["mu2"]), report.witness["mu2"].points)

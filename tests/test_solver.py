@@ -14,7 +14,7 @@ import pytest
 from levyfield.chaos import PoCConfig, strong_poc_replication
 from levyfield.coefficients import CoefficientSet, build_cubic_interaction, build_frozen, build_linear_meanfield
 from levyfield.errors import ConfigurationError, DivergenceError, NonConvergenceError
-from levyfield.initial import normal_initial, point_initial
+from levyfield.initial import normal_initial, point_initial, uniform_box_initial
 from levyfield.measures import EmpiricalMeasure, MeasureFlow
 from levyfield.noise import no_noise
 from levyfield.solver import (
@@ -364,6 +364,15 @@ def test_coupled_run_on_a_shared_tape_equals_run_drawing_its_own(family):
             assert_paths_equal(pa, pb)
     with pytest.raises(ConfigurationError):
         simulate_coupled(coeffs, 8, INIT, levy, GRID, CTX, ref.flow, tape=tape)
+
+
+@pytest.mark.parametrize("initial", [normal_initial(2), uniform_box_initial(2), point_initial([0.5, -1.0])])
+def test_tape_initial_states_are_each_particles_own_init_draw(initial):
+    ids = [4, 0, 9, 1]
+    levy = make_levy(dim=2)
+    tape = _draw_tape(build_cubic_interaction(levy, dim=2, beta=2.0, c2=1e3), levy, GRID, CTX, initial, 4, ids)
+    for j, pid in enumerate(ids):
+        assert np.array_equal(tape.x0[j], initial(CTX.generator(pid, Layer.INIT)))
 
 
 def test_strong_replication_mints_each_stream_once(monkeypatch):

@@ -13,7 +13,10 @@ from levyfield.streams import (
     MAX_REPLICA,
     Layer,
     NoiseStream,
+    Rekeyable,
+    StreamBlock,
     StreamContext,
+    philox_words,
 )
 
 
@@ -84,3 +87,58 @@ def test_with_rebuilds_untouched_fields():
     assert moved.seed == 3 and moved.experiment == EXP_MAIN and moved.replica == 5
     s = ctx.stream(4, Layer.SMALL).with_(layer=Layer.BIG)
     assert s.particle == 4 and s.layer == Layer.BIG
+
+
+def test_vectorized_philox_matches_numpy():
+    rng = np.random.default_rng(0)
+    keys = rng.integers(0, 2**64, size=(64, 2), dtype=np.uint64)
+    keys[::2, 0] |= np.uint64(1 << 63)  # top bits set in either word
+    keys[1::2, 1] |= np.uint64(0xFFFF << 48)
+    keys[0] = [2**64 - 1, 2**64 - 1]
+    words = philox_words(keys, 2, 3)
+    for key, got in zip(keys, words):
+        assert np.array_equal(got, np.random.Philox(key=key).random_raw(20)[8:])
+
+
+def test_keys_are_the_streams_philox_keys_and_enforce_bounds():
+    ctx = StreamContext(seed=2**64 - 1, experiment=MAX_EXPERIMENT, replica=3)
+    ids = [0, 7, MAX_PARTICLE]
+    keys = ctx.keys(ids, Layer.COMMON_BIG)
+    for p, key in zip(ids, keys):
+        stream = ctx.stream(p, Layer.COMMON_BIG)
+        assert list(key) == [stream.seed, stream.packed_id()]
+    for bad in ([0, MAX_PARTICLE + 1], [-1]):
+        with pytest.raises(ConfigurationError):
+            ctx.keys(bad, Layer.SMALL)
+    with pytest.raises(ConfigurationError):
+        StreamContext(seed=0, replica=MAX_REPLICA + 1).keys([0], Layer.SMALL)
+
+
+def test_block_reads_each_stream_as_its_own_generator_would():
+    ctx = StreamContext(seed=9, experiment=EXP_REFERENCE, replica=4)
+    keys = ctx.keys(range(6), Layer.BIG)
+    block = StreamBlock(keys, Rekeyable(), words=8)
+    rows = np.array([1, 4])
+    first = block.doubles(rows, 3)
+    normals = block.handoff(4, lambda g: g.standard_normal(5))
+    later = block.doubles(rows, 40)  # past the buffer: it grows
+    for j, row in enumerate(rows):
+        gen = ctx.generator(int(row), Layer.BIG)
+        assert np.array_equal(first[j], gen.random(3))
+        if row == 4:
+            assert np.array_equal(normals, gen.standard_normal(5))
+        assert np.array_equal(later[j], gen.random(40))
+    assert block.doubles(np.array([0]), 1)[0, 0] == ctx.generator(0, Layer.BIG).random()
+
+
+@pytest.mark.parametrize("position", [0, 1, 3, 4, 9])
+def test_rekeyed_generator_stands_where_a_fresh_one_would(position):
+    key = StreamContext(seed=5).keys([3], Layer.INIT)[0]
+    fresh = np.random.Generator(np.random.Philox(key=key))
+    fresh.bit_generator.random_raw(position)
+    moved = Rekeyable()
+    gen = moved.at(key, position)
+    assert moved.tell() == (position, (0, 0))
+    assert np.array_equal(gen.standard_normal(7), fresh.standard_normal(7))
+    assert moved.tell()[0] == 4 * (int(fresh.bit_generator.state["state"]["counter"][0]) - 1) + \
+        fresh.bit_generator.state["buffer_pos"]
