@@ -29,12 +29,10 @@ from .coefficients import (
 from .common_noise import (
     CommonRealization,
     CommonSimResult,
-    ConditionalCloud,
     ConditionalPicardResult,
     TwoLayerNoise,
     conditional_distance,
     conditional_picard,
-    pool_conditional_clouds,
     run_conditional_poc,
     sample_common_realization,
     simulate_common_system,

@@ -8,8 +8,10 @@ limit law is the piecewise rate
 
 switching at ``beta = d p / (d - p)`` (three-dimensional case split at
 ``p = 3/2``); both branches agree on the switching surface.
-:func:`phi_rate` evaluates the exponent, the ``run_*`` orchestrators
-measure empirical slopes against it.
+:func:`phi_rate` evaluates the exponent.  The ``*_poc_replication``
+functions measure one replication over the whole n-grid; the job runner
+fans them out, and the ``run_*`` functions aggregate their maps through
+:func:`rate_report` into a slope measured against the exponent.
 
 The weak estimate follows the coupling decomposition: simulate the
 interacting system and, on the same noise streams, n independent copies
@@ -37,6 +39,7 @@ import numpy as np
 from .coefficients import CoefficientSet
 from .errors import ConfigurationError
 from .initial import InitialSampler
+from .measures import lyapunov_diagnostic
 from .noise import LevyModel
 from .solver import (
     SolverConfig,
@@ -59,7 +62,7 @@ __all__ = [
     "run_weak_poc",
     "run_strong_poc",
     "run_moment_experiment",
-    "coupling_rate_report",
+    "rate_report",
     "reference_fixed_point",
     "coupling_terms",
 ]
@@ -252,16 +255,27 @@ def weak_poc_replication(
 
     This is the unit of work the job queue distributes; it touches only
     streams addressed by ``replica``, so results are independent of how
-    replications are batched over workers.  The main and fresh tapes are
-    drawn once for the largest particle count; every count reads their
-    prefixes.
+    replications are batched over workers.
+    """
+    return _coupling_replication(
+        coeffs, levy, grid, initial_sampler, poc_cfg, solver_cfg, seed, replica, reference_flow, None
+    )
+
+
+def _coupling_replication(
+    coeffs, levy, grid, initial_sampler, poc_cfg, solver_cfg, seed, replica, reference_flow, common
+) -> dict[int, tuple[float, float]]:
+    """Map n -> :func:`coupling_terms` along the n-grid, every run inside ``common`` (or none).
+
+    The main and fresh tapes are drawn once for the largest particle
+    count; every count reads their prefixes.
     """
     t_idx = _eval_index(grid, poc_cfg.eval_time)
     tapes = _replication_tapes(coeffs, levy, grid, initial_sampler, max(poc_cfg.n_grid), seed, replica)
     return {
         n: coupling_terms(
             coeffs, levy, grid, initial_sampler, n, seed, replica, reference_flow,
-            solver_cfg, poc_cfg.p, t_idx, tapes=[tape.head(n) for tape in tapes],
+            solver_cfg, poc_cfg.p, t_idx, common=common, tapes=[tape.head(n) for tape in tapes],
         )
         for n in poc_cfg.n_grid
     }
@@ -304,81 +318,55 @@ def coupling_terms(coeffs, levy, grid, initial_sampler, n, seed, replica, refere
 
 def run_weak_poc(
     coeffs: CoefficientSet,
-    levy: LevyModel,
     grid: TimeGrid,
-    initial_sampler: InitialSampler,
     poc_cfg: PoCConfig,
-    solver_cfg: SolverConfig,
-    seed: int,
-    *,
-    replication_results: Optional[list] = None,
-    reference=None,
+    reference,
+    replication_results: list,
 ) -> RateReport:
     """Weak propagation-of-chaos slope via the coupling decomposition.
 
     Per replication and particle count: the interacting cloud, n limit
     copies on the same streams (coupling term), and n fresh limit copies
     (i.i.d. term) are compared at the evaluation time; the two terms add
-    to the per-replication statistic.  A job runner can precompute the
-    fixed-point ``reference`` and the per-replication term maps (in
-    replica order) and inject both instead of computing them here.
+    to the per-replication statistic.  ``replication_results`` are the
+    :func:`weak_poc_replication` maps in replica order, all run against
+    the flow of the fixed point ``reference``.
     """
-    poc_cfg.check_against(coeffs)
-    ref = reference or reference_fixed_point(coeffs, initial_sampler, levy, grid, solver_cfg, poc_cfg, seed)
-    t_idx = _eval_index(grid, poc_cfg.eval_time)
-    if replication_results is None:
-        replication_results = [
-            weak_poc_replication(
-                coeffs, levy, grid, initial_sampler, poc_cfg, solver_cfg, seed, r, ref.flow
-            )
-            for r in range(poc_cfg.replications)
-        ]
-    return coupling_rate_report(
-        "weak_poc",
-        poc_cfg,
-        coeffs,
-        replication_results,
-        extra_details={
-            "reference_paths": len(ref.initial_cloud),
-            "reference_trace": ref.trace,
-            "eval_time": float(grid.times[t_idx]),
-        },
-    )
+    eval_time = float(grid.times[_eval_index(grid, poc_cfg.eval_time)])
+    theo = phi_rate(poc_cfg.p, coeffs.beta, coeffs.dim)
+    return rate_report("weak_poc", poc_cfg, theo, reference, replication_results, {"eval_time": eval_time})
 
 
-def coupling_rate_report(
-    kind: str,
-    poc_cfg: PoCConfig,
-    coeffs: CoefficientSet,
-    replication_results: list,
-    *,
-    extra_details: Optional[dict] = None,
+def rate_report(
+    kind: str, poc_cfg: PoCConfig, theoretical: float, reference, replication_results: list, details: dict
 ) -> RateReport:
-    """Aggregate per-replication (coupling, iid) term maps into a RateReport.
+    """Aggregate per-replication maps over the n-grid into a RateReport.
 
-    Replication maps go n -> (coupling term, iid term); the statistic is
-    their sum, averaged across replications, with across-replication
-    standard errors feeding the weighted slope fit.
+    A map goes n -> statistic, or n -> (coupling term, iid term), whose
+    sum is the statistic and whose means (and iid standard errors) go to
+    the details.  The statistic is averaged across replications, with
+    across-replication standard errors feeding the weighted slope fit;
+    the verdict compares the slope to ``theoretical + slack``.
     """
     n_values = list(poc_cfg.n_grid)
-    totals = np.array(
-        [[sum(rep[n]) for rep in replication_results] for n in n_values]
-    )  # (n_grid, reps)
-    couplings = np.array([[rep[n][0] for rep in replication_results] for n in n_values])
-    iids = np.array([[rep[n][1] for rep in replication_results] for n in n_values])
-    estimates = totals.mean(axis=1)
-    reps = totals.shape[1]
-    ses = _replication_ses(totals)
+    values = np.array([[rep[n] for rep in replication_results] for n in n_values])  # (n_grid, reps[, 2])
+    details = dict(
+        details,
+        replications=values.shape[1],
+        reference_paths=len(reference.initial_cloud),
+        reference_trace=reference.trace,
+    )
+    if values.ndim == 3:
+        couplings, iids = values.transpose(2, 0, 1).copy()
+        values = couplings + iids
+        details.update(
+            coupling_means=couplings.mean(axis=1).tolist(),
+            iid_means=iids.mean(axis=1).tolist(),
+            iid_ses=_replication_ses(iids),
+        )
+    estimates = values.mean(axis=1)
+    ses = _replication_ses(values)
     slope, slope_se = fit_loglog_slope(n_values, estimates, ses)
-    theo = phi_rate(poc_cfg.p, coeffs.beta, coeffs.dim)
-    passed = slope <= theo + poc_cfg.slack
-    details = {
-        "coupling_means": couplings.mean(axis=1).tolist(),
-        "iid_means": iids.mean(axis=1).tolist(),
-        "iid_ses": (iids.std(axis=1, ddof=1) / math.sqrt(reps)).tolist() if reps > 1 else None,
-        "replications": reps,
-    }
-    details.update(extra_details or {})
     return RateReport(
         kind=kind,
         n_values=n_values,
@@ -386,9 +374,9 @@ def coupling_rate_report(
         ses=ses or [None] * len(n_values),
         slope=slope,
         slope_se=slope_se,
-        theoretical=theo,
+        theoretical=theoretical,
         slack=poc_cfg.slack,
-        passed=passed,
+        passed=slope <= theoretical + poc_cfg.slack,
         details=details,
     )
 
@@ -421,61 +409,24 @@ def strong_poc_replication(
 
 def run_strong_poc(
     coeffs: CoefficientSet,
-    levy: LevyModel,
-    grid: TimeGrid,
-    initial_sampler: InitialSampler,
     poc_cfg: PoCConfig,
-    solver_cfg: SolverConfig,
-    seed: int,
-    *,
-    replication_results: Optional[list] = None,
-    reference=None,
+    reference,
+    replication_results: list,
 ) -> RateReport:
     """Pathwise (strong) chaos slope from synchronously coupled pairs.
 
     The statistic is ``mean_i sup_t |X_i - Y_i|^(p q1)`` with the
-    supremum over the realized grid; its predicted decay is
-    ``q1 *`` the weak exponent, with the ``q2 / (q2 - q1)`` constant
-    recorded in the details (it scales the bound, not the slope).
+    supremum over the realized grid, one :func:`strong_poc_replication`
+    map per replication; its predicted decay is ``q1 *`` the weak
+    exponent, with the ``q2 / (q2 - q1)`` constant recorded in the
+    details (it scales the bound, not the slope).
     """
-    poc_cfg.check_against(coeffs)
-    if poc_cfg.q1 <= 0:
-        raise ConfigurationError("strong experiments need q1 > 0")
-    ref = reference or reference_fixed_point(coeffs, initial_sampler, levy, grid, solver_cfg, poc_cfg, seed)
-    if replication_results is None:
-        replication_results = [
-            strong_poc_replication(
-                coeffs, levy, grid, initial_sampler, poc_cfg, solver_cfg, seed, r, ref.flow
-            )
-            for r in range(poc_cfg.replications)
-        ]
-    n_values = list(poc_cfg.n_grid)
-    stats = np.array([[rep[n] for rep in replication_results] for n in n_values])
-    estimates = stats.mean(axis=1)
-    reps = stats.shape[1]
-    ses = _replication_ses(stats)
-    slope, slope_se = fit_loglog_slope(n_values, estimates, ses)
     theo = poc_cfg.q1 * phi_rate(poc_cfg.p, coeffs.beta, coeffs.dim)
-    passed = slope <= theo + poc_cfg.slack
-    return RateReport(
-        kind="strong_poc",
-        n_values=n_values,
-        estimates=estimates.tolist(),
-        ses=ses or [None] * len(n_values),
-        slope=slope,
-        slope_se=slope_se,
-        theoretical=theo,
-        slack=poc_cfg.slack,
-        passed=passed,
-        details={
-            "q1": poc_cfg.q1,
-            "q2": poc_cfg.q2,
-            "tail_constant": poc_cfg.q2 / (poc_cfg.q2 - poc_cfg.q1),
-            "replications": reps,
-            "reference_paths": len(ref.initial_cloud),
-            "reference_trace": ref.trace,
-        },
-    )
+    return rate_report("strong_poc", poc_cfg, theo, reference, replication_results, {
+        "q1": poc_cfg.q1,
+        "q2": poc_cfg.q2,
+        "tail_constant": poc_cfg.q2 / (poc_cfg.q2 - poc_cfg.q1),
+    })
 
 
 @dataclass
@@ -539,7 +490,7 @@ def run_moment_experiment(
         def observer(k, t, X):
             norms_b = np.sqrt((X * X).sum(axis=1)) ** beta
             m = float(norms_b.mean())
-            lyap = float(np.mean((1.0 + (X * X).sum(axis=1)) ** (beta / 2.0)))
+            lyap = lyapunov_diagnostic(X, beta)
             if k == 0:
                 tracker["init"] = m
                 tracker["persup"] = norms_b.copy()

@@ -10,8 +10,10 @@ Monte Carlo: k outer common paths, each carrying an m-particle cloud.
 
 Degeneracy is structural: a zero-rate common layer leaves the engine on
 the exact code path of the single-layer system, so the reductions to
-``simulate_particle_system``, ``picard_fixed_point`` and ``run_weak_poc``
-are bit-identical, not merely close.
+``simulate_particle_system``, ``picard_fixed_point`` and the weak chaos
+replication are bit-identical, not merely close.  The conditional chaos
+experiment reuses the weak one's replication and aggregation
+(``chaos.rate_report``) with one common path per replication.
 """
 
 from __future__ import annotations
@@ -22,14 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chaos import (
-    PoCConfig,
-    RateReport,
-    coupling_rate_report,
-    coupling_terms,
-    _eval_index,
-    _replication_tapes,
-)
+from .chaos import PoCConfig, RateReport, _coupling_replication, phi_rate, rate_report
 from .coefficients import CoefficientSet
 from .errors import ConfigurationError, NonConvergenceError
 from .initial import InitialSampler
@@ -50,8 +45,6 @@ __all__ = [
     "TwoLayerNoise",
     "CommonRealization",
     "sample_common_realization",
-    "ConditionalCloud",
-    "pool_conditional_clouds",
     "CommonSimResult",
     "simulate_common_system",
     "ConditionalPicardResult",
@@ -140,27 +133,6 @@ def sample_common_realization(
     return CommonRealization(
         model=model, u_times=u_times, u_marks=u_marks, v_times=v_times, v_marks=v_marks
     )
-
-
-@dataclass(frozen=True)
-class ConditionalCloud:
-    """An m-particle cloud tagged with the common path that drove it."""
-
-    path_id: int
-    cloud: EmpiricalMeasure
-
-
-def pool_conditional_clouds(clouds: Sequence[ConditionalCloud]) -> EmpiricalMeasure:
-    """Forget the conditioning: stack all member particles into one cloud.
-
-    Requires equal cloud sizes so every common path carries the same
-    weight; the pooled moment of order beta is then exactly the average
-    of the per-path moments (tower property at estimator level).
-    """
-    sizes = {len(c.cloud) for c in clouds}
-    if not clouds or len(sizes) != 1:
-        raise ConfigurationError("pooling needs >= 1 clouds of one common size")
-    return EmpiricalMeasure(np.vstack([c.cloud.points for c in clouds]))
 
 
 @dataclass
@@ -261,9 +233,6 @@ class ConditionalPicardResult:
     trace: list[float]
     iterations: int
     initial_cloud: EmpiricalMeasure
-
-    def clouds_at(self, t: float) -> list[ConditionalCloud]:
-        return [ConditionalCloud(j, flow.at(t)) for j, flow in enumerate(self.flows)]
 
 
 def conditional_picard(
@@ -391,67 +360,34 @@ def conditional_poc_replication(
 ) -> dict[int, tuple[float, float]]:
     """Coupling and conditional-iid terms along the n-grid for one common path.
 
-    Like the weak replication, every particle count reads prefixes of one
-    main and one fresh tape drawn for the largest count.
+    The weak replication with every run inside ``realization``: the
+    interacting system, the coupled limit copies and the fresh copies
+    all see that path's events.
     """
-    t_idx = _eval_index(grid, poc_cfg.eval_time)
-    tapes = _replication_tapes(coeffs, noise.idio, grid, initial_sampler, max(poc_cfg.n_grid), seed, path_idx)
-    return {
-        n: coupling_terms(
-            coeffs, noise.idio, grid, initial_sampler, n, seed, path_idx,
-            reference_flow, solver_cfg, poc_cfg.p, t_idx, common=realization,
-            tapes=[tape.head(n) for tape in tapes],
-        )
-        for n in poc_cfg.n_grid
-    }
+    return _coupling_replication(
+        coeffs, noise.idio, grid, initial_sampler, poc_cfg, solver_cfg, seed, path_idx, reference_flow,
+        realization,
+    )
 
 
 def run_conditional_poc(
     coeffs: CoefficientSet,
     noise: TwoLayerNoise,
-    grid: TimeGrid,
-    initial_sampler: InitialSampler,
     poc_cfg: PoCConfig,
-    solver_cfg: SolverConfig,
-    seed: int,
-    *,
-    replication_results: Optional[list] = None,
-    reference: Optional[ConditionalPicardResult] = None,
+    reference: ConditionalPicardResult,
+    replication_results: list,
 ) -> RateReport:
     """Chaos slope with the limit taken conditionally on the common path.
 
-    One common path per replication: the interacting system, the coupled
-    limit copies, and the fresh conditional-iid copies all share that
-    path's events, and the reference flow is the conditional fixed point
-    for the same path.  With the common layer zeroed this is term for
-    term the plain weak experiment.
+    One common path per replication: ``replication_results`` holds the
+    :func:`conditional_poc_replication` map of path j against the
+    conditional fixed point ``reference.flows[j]`` on
+    ``reference.realizations[j]``.  With the common layer zeroed this is
+    term for term the plain weak experiment.
     """
-    poc_cfg.check_against(coeffs)
-    k = poc_cfg.replications
-    ref = reference or conditional_reference(
-        coeffs, noise, grid, initial_sampler, poc_cfg, solver_cfg, seed
-    )
-    if len(ref.flows) != k:
-        raise ConfigurationError(f"{k} replications but reference has {len(ref.flows)} paths")
-    realizations = ref.realizations
-    if replication_results is None:
-        replication_results = [
-            conditional_poc_replication(
-                coeffs, noise, grid, initial_sampler, poc_cfg, solver_cfg, seed,
-                j, ref.flows[j], realizations[j],
-            )
-            for j in range(k)
-        ]
-    return coupling_rate_report(
-        "conditional_poc",
-        poc_cfg,
-        coeffs,
-        replication_results,
-        extra_details={
-            "common_small_rate": noise.common.small_rate,
-            "common_big_rate": noise.common.big_rate,
-            "common_events": [r.n_events for r in realizations],
-            "reference_paths": len(ref.initial_cloud),
-            "reference_trace": ref.trace,
-        },
-    )
+    theo = phi_rate(poc_cfg.p, coeffs.beta, coeffs.dim)
+    return rate_report("conditional_poc", poc_cfg, theo, reference, replication_results, {
+        "common_small_rate": noise.common.small_rate,
+        "common_big_rate": noise.common.big_rate,
+        "common_events": [r.n_events for r in reference.realizations],
+    })

@@ -11,8 +11,6 @@ argument at the start of each step.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -130,12 +128,6 @@ class MeasureFlow:
         if idx < 0:
             raise ConfigurationError(f"flow queried at t={t} before first grid time {self.times[0]}")
         return self.clouds[idx]
-
-    def index_at(self, t: float) -> int:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        if idx < 0:
-            raise ConfigurationError(f"flow queried at t={t} before first grid time {self.times[0]}")
-        return idx
 
     @staticmethod
     def constant(times, cloud: EmpiricalMeasure) -> "MeasureFlow":

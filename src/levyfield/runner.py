@@ -7,11 +7,15 @@ the pass/fail/error convention: 0 the experiment ran and its verdict is
 a pass (or it has no verdict), 1 it ran and the verdict is a fail, 2 it
 could not produce a verdict at all.
 
-Replications are the unit of parallelism.  Workers rebuild the model
-from the raw config (coefficient closures do not cross process
-boundaries; flows and realizations do), and every replication draws from
-streams addressed by its own replica index, so outputs are byte-identical
-for any worker count.
+The three rate experiments (weak, strong, and conditional chaos) share
+one path, :func:`_run_rate`: check the design against the model, build
+the reference, run the replications, and aggregate them with the kind's
+``run_*`` function.  Replications are the unit of parallelism and
+:func:`_rate_chunk` is the one worker: it rebuilds the model from the
+raw config (coefficient closures do not cross process boundaries; flows
+and realizations do), and every replication draws from streams addressed
+by its own replica index, so outputs are byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -125,44 +129,28 @@ def _distribute(worker, payloads, jobs):
     return [item for chunk in chunks for item in chunk]
 
 
-def _weak_chunk(args):
-    raw, replicas, ref_flow = args
+def _rate_chunk(args):
+    """Replication maps of one chunk of a rate experiment, in item order.
+
+    Items are (replica, its reference flow, its common realization or
+    None).  The replication functions are looked up in this module's
+    namespace at call time, never through a table built at import, so a
+    wrapper bound to one of their names here sees every call.
+    """
+    raw, items = args
     spec = validate_and_build(raw)
     pcfg = _poc_config(spec)
-    return [
-        weak_poc_replication(
-            spec.coeffs, spec.levy, spec.grid, spec.initial, pcfg, spec.solver,
-            spec.seed, r, ref_flow,
-        )
-        for r in replicas
-    ]
-
-
-def _strong_chunk(args):
-    raw, replicas, ref_flow = args
-    spec = validate_and_build(raw)
-    pcfg = _poc_config(spec)
-    return [
-        strong_poc_replication(
-            spec.coeffs, spec.levy, spec.grid, spec.initial, pcfg, spec.solver,
-            spec.seed, r, ref_flow,
-        )
-        for r in replicas
-    ]
-
-
-def _conditional_chunk(args):
-    raw, items = args  # items: (path index, its reference flow, its realization)
-    spec = validate_and_build(raw)
-    pcfg = _poc_config(spec)
-    noise = spec.two_layer
-    return [
-        conditional_poc_replication(
-            spec.coeffs, noise, spec.grid, spec.initial, pcfg, spec.solver,
-            spec.seed, j, flow, realization,
-        )
-        for j, flow, realization in items
-    ]
+    noise = spec.two_layer if spec.kind == "common-noise" else spec.levy
+    out = []
+    for replica, flow, realization in items:
+        head = (spec.coeffs, noise, spec.grid, spec.initial, pcfg, spec.solver, spec.seed, replica, flow)
+        if spec.kind == "poc":
+            out.append(weak_poc_replication(*head))
+        elif spec.kind == "strong-poc":
+            out.append(strong_poc_replication(*head))
+        else:
+            out.append(conditional_poc_replication(*head, realization))
+    return out
 
 
 def _timeseries_observer(beta, rows):
@@ -233,7 +221,28 @@ def _run_picard(spec: ExperimentSpec, out: Path, jobs: int):
     return (PASS if converged else FAIL), ["trace.csv", "result.json"]
 
 
-def _rate_outputs(report, out: Path):
+def _run_rate(spec: ExperimentSpec, out: Path, jobs: int):
+    """Weak, strong or conditional chaos: reference, replications, one aggregation."""
+    pcfg = _poc_config(spec)
+    pcfg.check_against(spec.coeffs)
+    if spec.kind == "strong-poc" and pcfg.q1 <= 0:
+        raise ConfigurationError("strong experiments need q1 > 0")
+    if spec.kind == "common-noise":
+        ref = conditional_reference(spec.coeffs, spec.two_layer, spec.grid, spec.initial, pcfg,
+                                    spec.solver, spec.seed)
+        items = list(zip(range(pcfg.replications), ref.flows, ref.realizations))
+    else:
+        ref = reference_fixed_point(spec.coeffs, spec.initial, spec.levy, spec.grid,
+                                    spec.solver, pcfg, spec.seed)
+        items = [(r, ref.flow, None) for r in range(pcfg.replications)]
+    payloads = [(spec.raw, chunk) for chunk in _chunks(items, jobs)]
+    reps = _distribute(_rate_chunk, payloads, jobs)
+    if spec.kind == "poc":
+        report = run_weak_poc(spec.coeffs, spec.grid, pcfg, ref, reps)
+    elif spec.kind == "strong-poc":
+        report = run_strong_poc(spec.coeffs, pcfg, ref, reps)
+    else:
+        report = run_conditional_poc(spec.coeffs, spec.two_layer, pcfg, ref, reps)
     header = ["n", "estimate", "se"]
     cols = [report.n_values, report.estimates, report.ses]
     if "coupling_means" in report.details:
@@ -244,28 +253,6 @@ def _rate_outputs(report, out: Path):
     _write_csv(out / "rate.csv", header, rows)
     _write_json(out / "result.json", asdict(report))
     return (PASS if report.passed else FAIL), ["rate.csv", "result.json"]
-
-
-def _run_poc(spec: ExperimentSpec, out: Path, jobs: int):
-    pcfg = _poc_config(spec)
-    ref = reference_fixed_point(spec.coeffs, spec.initial, spec.levy, spec.grid,
-                                spec.solver, pcfg, spec.seed)
-    payloads = [(spec.raw, chunk, ref.flow) for chunk in _chunks(list(range(pcfg.replications)), jobs)]
-    reps = _distribute(_weak_chunk, payloads, jobs)
-    report = run_weak_poc(spec.coeffs, spec.levy, spec.grid, spec.initial, pcfg,
-                          spec.solver, spec.seed, replication_results=reps, reference=ref)
-    return _rate_outputs(report, out)
-
-
-def _run_strong_poc(spec: ExperimentSpec, out: Path, jobs: int):
-    pcfg = _poc_config(spec)
-    ref = reference_fixed_point(spec.coeffs, spec.initial, spec.levy, spec.grid,
-                                spec.solver, pcfg, spec.seed)
-    payloads = [(spec.raw, chunk, ref.flow) for chunk in _chunks(list(range(pcfg.replications)), jobs)]
-    reps = _distribute(_strong_chunk, payloads, jobs)
-    report = run_strong_poc(spec.coeffs, spec.levy, spec.grid, spec.initial, pcfg,
-                            spec.solver, spec.seed, replication_results=reps, reference=ref)
-    return _rate_outputs(report, out)
 
 
 def _run_moments(spec: ExperimentSpec, out: Path, jobs: int):
@@ -290,40 +277,31 @@ def _run_moments(spec: ExperimentSpec, out: Path, jobs: int):
 
 
 def _run_common(spec: ExperimentSpec, out: Path, jobs: int):
-    noise = spec.two_layer
-    if spec.experiment["task"] == "simulate":
-        n = spec.experiment["n"]
-        rows = []
-        res = simulate_common_system(
-            spec.coeffs, n, spec.initial, noise, spec.grid,
-            StreamContext(seed=spec.seed, experiment=EXP_MAIN, replica=0), spec.solver,
-            record_paths=bool(spec.experiment.get("record_paths", False)),
-            collect_clouds=False,
-            observer=_timeseries_observer(spec.coeffs.beta, rows),
-        )
-        _write_csv(out / "timeseries.csv", _ts_header(spec.coeffs.dim),
-                   [[_f(v) for v in row] for row in rows])
-        real = res.realization
-        ev_rows = [["U0", _f(t)] + [_f(v) for v in m] for t, m in zip(real.u_times, real.u_marks)]
-        ev_rows += [["V0", _f(t)] + [_f(v) for v in m] for t, m in zip(real.v_times, real.v_marks)]
-        ev_rows.sort(key=lambda r: float(r[1]))
-        _write_csv(out / "common_events.csv",
-                   ["band", "time"] + [f"z_{i}" for i in range(spec.coeffs.dim)], ev_rows)
-        _write_json(out / "result.json", {
-            "n": n,
-            "common_events": real.n_events,
-            "final_mean": res.final.mean(axis=0).tolist(),
-        })
-        return PASS, ["timeseries.csv", "common_events.csv", "result.json"]
-    pcfg = _poc_config(spec)
-    ref = conditional_reference(spec.coeffs, noise, spec.grid, spec.initial, pcfg,
-                                spec.solver, spec.seed)
-    items = list(zip(range(pcfg.replications), ref.flows, ref.realizations))
-    payloads = [(spec.raw, chunk) for chunk in _chunks(items, jobs)]
-    reps = _distribute(_conditional_chunk, payloads, jobs)
-    report = run_conditional_poc(spec.coeffs, noise, spec.grid, spec.initial, pcfg,
-                                 spec.solver, spec.seed, replication_results=reps, reference=ref)
-    return _rate_outputs(report, out)
+    if spec.experiment["task"] == "poc":
+        return _run_rate(spec, out, jobs)
+    n = spec.experiment["n"]
+    rows = []
+    res = simulate_common_system(
+        spec.coeffs, n, spec.initial, spec.two_layer, spec.grid,
+        StreamContext(seed=spec.seed, experiment=EXP_MAIN, replica=0), spec.solver,
+        record_paths=bool(spec.experiment.get("record_paths", False)),
+        collect_clouds=False,
+        observer=_timeseries_observer(spec.coeffs.beta, rows),
+    )
+    _write_csv(out / "timeseries.csv", _ts_header(spec.coeffs.dim),
+               [[_f(v) for v in row] for row in rows])
+    real = res.realization
+    ev_rows = [["U0", _f(t)] + [_f(v) for v in m] for t, m in zip(real.u_times, real.u_marks)]
+    ev_rows += [["V0", _f(t)] + [_f(v) for v in m] for t, m in zip(real.v_times, real.v_marks)]
+    ev_rows.sort(key=lambda r: float(r[1]))
+    _write_csv(out / "common_events.csv",
+               ["band", "time"] + [f"z_{i}" for i in range(spec.coeffs.dim)], ev_rows)
+    _write_json(out / "result.json", {
+        "n": n,
+        "common_events": real.n_events,
+        "final_mean": res.final.mean(axis=0).tolist(),
+    })
+    return PASS, ["timeseries.csv", "common_events.csv", "result.json"]
 
 
 def _run_check_assumptions(spec: ExperimentSpec, out: Path, jobs: int):
@@ -363,8 +341,8 @@ def _run_check_assumptions(spec: ExperimentSpec, out: Path, jobs: int):
 _DISPATCH = {
     "simulate": _run_simulate,
     "picard": _run_picard,
-    "poc": _run_poc,
-    "strong-poc": _run_strong_poc,
+    "poc": _run_rate,
+    "strong-poc": _run_rate,
     "moments": _run_moments,
     "common-noise": _run_common,
     "check-assumptions": _run_check_assumptions,

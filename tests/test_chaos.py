@@ -10,17 +10,18 @@ from levyfield.chaos import (
     PoCConfig,
     fit_loglog_slope,
     phi_rate,
+    reference_fixed_point,
     run_moment_experiment,
     run_strong_poc,
     run_weak_poc,
+    strong_poc_replication,
     weak_poc_replication,
 )
 from levyfield.coefficients import build_cubic_interaction, build_frozen, build_linear_meanfield
 from levyfield.errors import ConfigurationError
 from levyfield.initial import normal_initial, uniform_box_initial
 from levyfield.noise import no_noise
-from levyfield.solver import SolverConfig, TimeGrid, picard_fixed_point
-from levyfield.streams import EXP_REFERENCE, StreamContext
+from levyfield.solver import SolverConfig, TimeGrid
 
 from conftest import small_only_levy
 
@@ -152,50 +153,41 @@ QUICK = SolverConfig(paths=64, tol=1e-2, max_iter=15)
 SMALL_POC = PoCConfig(p=1.0, n_grid=[8, 16, 32], replications=3, reference_paths=128)
 
 
+def _replicated(replicate, coeffs, levy, poc, seed):
+    """Reference fixed point plus one replication map per replica, as the runner computes them."""
+    ref = reference_fixed_point(coeffs, normal_initial(1), levy, GRID, QUICK, poc, seed)
+    reps = [
+        replicate(coeffs, levy, GRID, normal_initial(1), poc, QUICK, seed, r, ref.flow)
+        for r in range(poc.replications)
+    ]
+    return ref, reps
+
+
 def test_weak_poc_coupling_term_is_zero_for_measure_free_models():
     levy = small_only_levy(rate=0.5)
     coeffs = build_frozen(levy, dim=1, beta=2.0, a=1.0, gamma_f=0.2)
-    report = run_weak_poc(coeffs, levy, GRID, normal_initial(1), SMALL_POC, QUICK, seed=50)
+    ref, reps = _replicated(weak_poc_replication, coeffs, levy, SMALL_POC, seed=50)
+    report = run_weak_poc(coeffs, GRID, SMALL_POC, ref, reps)
     assert report.kind == "weak_poc"
     assert all(c == 0.0 for c in report.details["coupling_means"])
     assert all(e >= 0.0 for e in report.estimates)
     assert all(i > 0.0 for i in report.details["iid_means"])
 
 
-def test_weak_poc_inline_equals_injected_replications():
-    levy = small_only_levy(rate=0.5)
-    coeffs = build_cubic_interaction(levy, dim=1, beta=2.0)
-    inline = run_weak_poc(coeffs, levy, GRID, normal_initial(1), SMALL_POC, QUICK, seed=51)
-    ref_cfg = SolverConfig(paths=128, tol=1e-2, max_iter=15)
-    ref = picard_fixed_point(
-        coeffs, normal_initial(1), levy, GRID, ref_cfg,
-        StreamContext(seed=51, experiment=EXP_REFERENCE, replica=0),
-    )
-    reps = [
-        weak_poc_replication(coeffs, levy, GRID, normal_initial(1), SMALL_POC, QUICK, 51, r, ref.flow)
-        for r in range(SMALL_POC.replications)
-    ]
-    injected = run_weak_poc(
-        coeffs, levy, GRID, normal_initial(1), SMALL_POC, QUICK, seed=51,
-        replication_results=reps, reference=ref,
-    )
-    assert inline.estimates == injected.estimates
-    assert inline.slope == injected.slope
-    assert inline.details["coupling_means"] == injected.details["coupling_means"]
-
-
 def test_weak_poc_rejects_incompatible_p():
     levy = small_only_levy()
     coeffs = build_cubic_interaction(levy, dim=1, beta=2.0)
-    bad = PoCConfig(p=2.0, n_grid=[8, 16, 32], replications=2)
-    with pytest.raises(ConfigurationError):
-        run_weak_poc(coeffs, levy, GRID, normal_initial(1), bad, QUICK, seed=0)
+    ref, reps = _replicated(weak_poc_replication, coeffs, levy, SMALL_POC, seed=0)
+    bad = PoCConfig(p=2.0, n_grid=[8, 16, 32], replications=3)
+    with pytest.raises(ConfigurationError):  # p = beta leaves no exponent to measure against
+        run_weak_poc(coeffs, GRID, bad, ref, reps)
 
 
 def test_strong_poc_details_and_positivity():
     levy = small_only_levy(rate=0.5)
     coeffs = build_linear_meanfield(levy, dim=1, beta=2.0, gamma_f=0.2)
-    report = run_strong_poc(coeffs, levy, GRID, normal_initial(1), SMALL_POC, QUICK, seed=52)
+    ref, reps = _replicated(strong_poc_replication, coeffs, levy, SMALL_POC, seed=52)
+    report = run_strong_poc(coeffs, SMALL_POC, ref, reps)
     assert report.kind == "strong_poc"
     assert report.theoretical == SMALL_POC.q1 * phi_rate(1.0, 2.0, 1)
     assert abs(report.details["tail_constant"] - 0.9 / 0.4) < 1e-12

@@ -6,22 +6,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levyfield.chaos import PoCConfig, run_weak_poc
+from levyfield.chaos import PoCConfig, reference_fixed_point, run_weak_poc, weak_poc_replication
 from levyfield.coefficients import build_frozen, build_linear_meanfield
 from levyfield.common_noise import (
     CommonRealization,
-    ConditionalCloud,
     TwoLayerNoise,
     conditional_distance,
     conditional_picard,
-    pool_conditional_clouds,
+    conditional_poc_replication,
+    conditional_reference,
     run_conditional_poc,
     sample_common_realization,
     simulate_common_system,
 )
 from levyfield.errors import ConfigurationError
 from levyfield.initial import normal_initial, point_initial
-from levyfield.measures import EmpiricalMeasure, MeasureFlow, beta_norm
+from levyfield.measures import EmpiricalMeasure, MeasureFlow
 from levyfield.noise import no_noise
 from levyfield.solver import (
     SolverConfig,
@@ -77,29 +77,6 @@ def test_sample_common_realization_deterministic_and_band_gated():
         sample_common_realization(model, CTX, -1.0)
 
 
-def test_pool_conditional_clouds_guards_and_stacks():
-    rng = np.random.default_rng(0)
-    clouds = [ConditionalCloud(j, EmpiricalMeasure(rng.normal(size=(8, 2)))) for j in range(3)]
-    pooled = pool_conditional_clouds(clouds)
-    assert len(pooled) == 24
-    with pytest.raises(ConfigurationError):
-        pool_conditional_clouds([])
-    uneven = clouds[:2] + [ConditionalCloud(2, EmpiricalMeasure(rng.normal(size=(5, 2))))]
-    with pytest.raises(ConfigurationError):
-        pool_conditional_clouds(uneven)
-
-
-def test_pooled_beta_moment_is_mean_of_conditional_moments():
-    # tower property at estimator level: equal sizes make the pooled
-    # beta-th moment the arithmetic mean of the per-path moments
-    rng = np.random.default_rng(1)
-    beta = 1.7
-    clouds = [ConditionalCloud(j, EmpiricalMeasure(rng.normal(size=(32, 3)))) for j in range(5)]
-    pooled = pool_conditional_clouds(clouds)
-    per_path = [beta_norm(c.cloud, beta) ** beta for c in clouds]
-    assert abs(beta_norm(pooled, beta) ** beta - np.mean(per_path)) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # degenerate common layer: bit-exact reductions
 # ---------------------------------------------------------------------------
@@ -145,10 +122,19 @@ def test_conditional_poc_with_silent_common_layer_matches_weak_poc():
     coeffs = build_linear_meanfield(levy, dim=1, beta=2.0, gamma_f=0.2)
     poc = PoCConfig(p=1.0, n_grid=[8, 16, 32], replications=3, reference_paths=128)
     solver = SolverConfig(paths=64, tol=1e-2, max_iter=15)
-    weak = run_weak_poc(coeffs, levy, GRID, normal_initial(1), poc, solver, seed=42)
-    cond = run_conditional_poc(
-        coeffs, TwoLayerNoise.single_layer(levy), GRID, normal_initial(1), poc, solver, seed=42
-    )
+    ref = reference_fixed_point(coeffs, normal_initial(1), levy, GRID, solver, poc, 42)
+    weak = run_weak_poc(coeffs, GRID, poc, ref, [
+        weak_poc_replication(coeffs, levy, GRID, normal_initial(1), poc, solver, 42, r, ref.flow)
+        for r in range(poc.replications)
+    ])
+    noise = TwoLayerNoise.single_layer(levy)
+    cond_ref = conditional_reference(coeffs, noise, GRID, normal_initial(1), poc, solver, 42)
+    cond = run_conditional_poc(coeffs, noise, poc, cond_ref, [
+        conditional_poc_replication(
+            coeffs, noise, GRID, normal_initial(1), poc, solver, 42, j, flow, realization
+        )
+        for j, (flow, realization) in enumerate(zip(cond_ref.flows, cond_ref.realizations))
+    ])
     assert cond.kind == "conditional_poc"
     assert cond.estimates == weak.estimates
     assert cond.ses == weak.ses
@@ -426,10 +412,8 @@ def test_conditional_picard_converges_with_live_common_layer():
     assert res.iterations == len(res.trace) <= 20
     assert res.trace[-1] < cfg.tol
     assert len(res.flows) == len(res.realizations) == 3
-    clouds = res.clouds_at(1.0)
-    assert [c.path_id for c in clouds] == [0, 1, 2]
     # distinct common paths must produce distinct conditional laws
-    assert not np.array_equal(clouds[0].cloud.points, clouds[1].cloud.points)
+    assert not np.array_equal(res.flows[0].at(1.0).points, res.flows[1].at(1.0).points)
 
 
 def test_conditional_picard_frozen_coefficients_stall_at_zero():

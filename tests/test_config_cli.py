@@ -15,6 +15,7 @@ from levyfield.assumptions import check_one_sided_lipschitz
 from levyfield.cli import main
 from levyfield.config import config_digest, load_config, validate_and_build
 from levyfield.errors import ConfigurationError
+from levyfield.runner import run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
@@ -57,6 +58,24 @@ def _quick_cfg(kind="simulate", **overrides):
         "experiment": {"n": 16},
     }
     cfg.update(overrides)
+    return cfg
+
+
+RATE_KINDS = ["poc", "strong-poc", "common-noise"]
+
+
+def _rate_cfg(kind, replications):
+    """A toy rate experiment; the common-noise one has a live common layer (small and big band)."""
+    exp = {"p": 1.0, "n_grid": [4, 8, 16], "replications": replications, "reference_paths": 64}
+    if kind != "common-noise":
+        return _quick_cfg(kind=kind, experiment=exp)
+    cfg = _quick_cfg(kind=kind, experiment={"task": "poc", **exp})
+    cfg["common_noise"] = {
+        "split_radius": 1.0,
+        "small": {"rate": 1.0, "sampler": "annulus_uniform", "params": {"r_lo": 0.0, "r_hi": 1.0}},
+        "big": {"rate": 1.0, "sampler": "annulus_uniform", "params": {"r_lo": 1.0, "r_hi": 2.0}},
+    }
+    cfg["model"]["params"].update(gamma_f0=0.2, gamma_g0=0.3)
     return cfg
 
 
@@ -242,22 +261,39 @@ def test_cli_seed_override_changes_results(tmp_path):
     assert manifest["seed"] == 12
 
 
-def test_cli_worker_count_does_not_change_bytes(tmp_path):
-    cfg = _quick_cfg(
-        kind="poc",
-        experiment={"p": 1.0, "n_grid": [4, 8, 16], "replications": 4, "reference_paths": 64},
-    )
-    path = _write_cfg(tmp_path, cfg)
-    runner = CliRunner()
+@pytest.mark.parametrize("kind", RATE_KINDS)
+def test_cli_worker_count_does_not_change_bytes(tmp_path, kind):
+    path = _write_cfg(tmp_path, _rate_cfg(kind, replications=4))
+    cli = CliRunner()
     outs = []
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}"
-        res = runner.invoke(main, ["poc", "--config", path, "--jobs", str(jobs), "--out", str(out)])
+        res = cli.invoke(main, [kind, "--config", path, "--jobs", str(jobs), "--out", str(out)])
         assert res.exit_code in (0, 1), res.output  # verdict may fail on a toy grid
         outs.append(out)
     assert (outs[0] / "rate.csv").read_bytes() == (outs[1] / "rate.csv").read_bytes()
     assert (outs[0] / "result.json").read_bytes() == (outs[1] / "result.json").read_bytes()
     assert json.loads((outs[1] / "manifest.json").read_text())["jobs"] == 2
+    if kind == "common-noise":
+        assert sum(json.loads((outs[1] / "result.json").read_text())["details"]["common_events"]) > 0
+
+
+@pytest.mark.parametrize("kind", RATE_KINDS)
+def test_rate_run_rejects_a_bad_design_before_any_reference(tmp_path, monkeypatch, kind):
+    cfg = _rate_cfg(kind, replications=2)
+    cfg["experiment"]["p"] = 2.0  # p = beta leaves no chaos exponent to measure
+
+    def no_reference(*args, **kwargs):
+        raise AssertionError("a reference was computed for a config that must be rejected")
+
+    monkeypatch.setattr("levyfield.runner.reference_fixed_point", no_reference)
+    monkeypatch.setattr("levyfield.runner.conditional_reference", no_reference)
+    out = tmp_path / "out"
+    assert run_experiment(validate_and_build(cfg), out) == 2
+    error = _strict_json(out / "error.json")
+    _assert_valid(error, "error.schema.json")
+    assert error["error"] == "ConfigurationError"
+    assert "p < beta" in error["message"]
 
 
 def test_cli_jobs_default_comes_from_environment(tmp_path):
@@ -312,11 +348,7 @@ def test_cli_divergent_run_writes_error_json(tmp_path):
 
 @pytest.mark.parametrize("kind", ["poc", "strong-poc"])
 def test_single_replication_rate_run_writes_strict_json(tmp_path, kind):
-    cfg = _quick_cfg(
-        kind=kind,
-        experiment={"p": 1.0, "n_grid": [4, 8, 16], "replications": 1, "reference_paths": 64},
-    )
-    path = _write_cfg(tmp_path, cfg)
+    path = _write_cfg(tmp_path, _rate_cfg(kind, replications=1))
     out = tmp_path / "out"
     result = CliRunner().invoke(main, [kind, "--config", path, "--out", str(out)])
     assert result.exit_code in (0, 1), result.output  # verdict may fail on a toy grid

@@ -74,7 +74,7 @@ def test_flow_lookup_is_left_piecewise_constant():
     assert flow.at(0.5).points[0, 0] == 1.0
     assert flow.at(0.51).points[0, 0] == 1.0
     assert flow.at(1.0).points[0, 0] == 2.0
-    assert flow.index_at(0.75) == 1
+    assert flow.at(0.75) is clouds[1]
     assert flow.horizon == 1.0 and flow.dim == 1
 
 
