@@ -60,7 +60,6 @@ from .solver import (
     SimResult,
     SolverConfig,
     TimeGrid,
-    integrate_decoupled,
     picard_fixed_point,
     simulate_coupled,
     simulate_particle_system,

@@ -268,14 +268,16 @@ def _coupling_replication(
     """Map n -> :func:`coupling_terms` along the n-grid, every run inside ``common`` (or none).
 
     The main and fresh tapes are drawn once for the largest particle
-    count; every count reads their prefixes.
+    count, and the limit and fresh copies run once on them; every count
+    reads the prefixes of both.
     """
     t_idx = _eval_index(grid, poc_cfg.eval_time)
     tapes = _replication_tapes(coeffs, levy, grid, initial_sampler, max(poc_cfg.n_grid), seed, replica)
+    copies = _limit_copies(coeffs, levy, grid, tapes, solver_cfg, reference_flow, common)
     return {
         n: coupling_terms(
-            coeffs, levy, grid, initial_sampler, n, seed, replica, reference_flow,
-            solver_cfg, poc_cfg.p, t_idx, common=common, tapes=[tape.head(n) for tape in tapes],
+            coeffs, levy, grid, initial_sampler, n, seed, replica, reference_flow, solver_cfg, poc_cfg.p, t_idx,
+            common=common, tapes=[tape.head(n) for tape in tapes], copies=[run.head(n) for run in copies],
         )
         for n in poc_cfg.n_grid
     }
@@ -290,29 +292,34 @@ def _replication_tapes(coeffs, levy, grid, initial_sampler, n, seed, replica):
     ]
 
 
+def _limit_copies(coeffs, levy, grid, tapes, solver_cfg, reference_flow, common):
+    """Decoupled runs against ``reference_flow`` on the (main, fresh) tapes: coupled and fresh copies."""
+    return [
+        _simulate_system(coeffs, levy, grid, tape, solver_cfg, flow=reference_flow, collect_states=True, common=common)
+        for tape in tapes
+    ]
+
+
 def coupling_terms(coeffs, levy, grid, initial_sampler, n, seed, replica, reference_flow, solver_cfg, p, t_idx,
-                   common=None, tapes=None):
+                   common=None, tapes=None, copies=None):
     """One (coupling, iid) pair of ``W_p^p`` terms at grid index ``t_idx``.
 
     Interacting cloud and coupled limit copies share the tape of the main
     streams of ``replica``; the fresh copies read the tape of the reserved
     fresh block.  ``tapes`` passes both in (main, fresh), already cut to
-    ``n`` particles; they are drawn here otherwise.  With ``common`` set,
-    all three runs share that one realization, so the comparison stays
-    inside a single common path.
+    ``n`` particles; they are drawn here otherwise.  ``copies`` passes in
+    the coupled and fresh copies, ``n`` rows each, already run on those
+    tapes; they are run here otherwise.  With ``common`` set, all three
+    runs share that one realization, so the comparison stays inside a
+    single common path.
     """
-    main, fresh = tapes or _replication_tapes(coeffs, levy, grid, initial_sampler, n, seed, replica)
+    tapes = tapes or _replication_tapes(coeffs, levy, grid, initial_sampler, n, seed, replica)
     inter = _simulate_system(
-        coeffs, levy, grid, main, solver_cfg, interacting=True, collect_states=True, common=common,
+        coeffs, levy, grid, tapes[0], solver_cfg, interacting=True, collect_states=True, common=common,
     )
-    limit = _simulate_system(
-        coeffs, levy, grid, main, solver_cfg, flow=reference_flow, collect_states=True, common=common,
-    )
-    copies = _simulate_system(
-        coeffs, levy, grid, fresh, solver_cfg, flow=reference_flow, collect_states=True, common=common,
-    )
+    limit, fresh = copies or _limit_copies(coeffs, levy, grid, tapes, solver_cfg, reference_flow, common)
     coupling = _w_pp(inter.states[t_idx], limit.states[t_idx], p)
-    iid = _w_pp(limit.states[t_idx], copies.states[t_idx], p)
+    iid = _w_pp(limit.states[t_idx], fresh.states[t_idx], p)
     return coupling, iid
 
 
@@ -393,15 +400,19 @@ def strong_poc_replication(
     """Per-replication strong statistic ``mean_i sup_t |gap_i|^(p q1)`` on the n-grid.
 
     One tape of the replica's main streams, drawn for the largest count,
-    drives every coupled pair through its prefix.
+    drives every coupled pair through its prefix; the limit copies run
+    once on the whole tape, and each pair reads their first n rows.
     """
     ctx = StreamContext(seed=seed, experiment=EXP_MAIN, replica=replica)
     tape = _draw_tape(coeffs, levy, grid, ctx, initial_sampler, max(poc_cfg.n_grid))
+    limit = _simulate_system(
+        coeffs, levy, grid, tape, solver_cfg, flow=reference_flow, collect_states=True, record_paths=True
+    )
     out = {}
     for n in poc_cfg.n_grid:
         coupled = simulate_coupled(
             coeffs, n, initial_sampler, levy, grid, ctx, reference_flow, solver_cfg,
-            record_paths=True, tape=tape.head(n),
+            record_paths=True, tape=tape.head(n), limit=limit.head(n),
         )
         out[n] = float(np.mean(coupled.sup_errors ** (poc_cfg.p * poc_cfg.q1)))
     return out

@@ -33,6 +33,7 @@ import numpy as np
 from .assumptions import check_coercivity, check_one_sided_lipschitz
 from .chaos import (
     PoCConfig,
+    _eval_index,
     reference_fixed_point,
     run_moment_experiment,
     run_strong_poc,
@@ -225,6 +226,7 @@ def _run_rate(spec: ExperimentSpec, out: Path, jobs: int):
     """Weak, strong or conditional chaos: reference, replications, one aggregation."""
     pcfg = _poc_config(spec)
     pcfg.check_against(spec.coeffs)
+    _eval_index(spec.grid, pcfg.eval_time)  # an off-grid evaluation time fails before the reference
     if spec.kind == "strong-poc" and pcfg.q1 <= 0:
         raise ConfigurationError("strong experiments need q1 > 0")
     if spec.kind == "common-noise":

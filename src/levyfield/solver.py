@@ -40,8 +40,12 @@ key and position, so every stream yields exactly what a generator of its
 own would.  Neither schedule nor particle count ever reorders another
 particle's draws.  Consequences tested elsewhere:
 deleting a zero-rate band changes nothing bit for bit, a one-particle
-system equals a decoupled run against its own delta flow, and permuting
-particle ids permutes the output paths.
+system equals a decoupled run against its own delta flow, permuting
+particle ids permutes the output paths, and the first ``n`` rows of a
+decoupled run on a tape are the decoupled run on the tape's first ``n``
+particles (every coefficient, compensator and event sum is evaluated row
+by row, and decoupled particles never see each other), so a replication
+runs its limit copies once, at its largest particle count.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ __all__ = [
     "SimResult",
     "PicardResult",
     "CoupledResult",
-    "integrate_decoupled",
     "picard_fixed_point",
     "simulate_particle_system",
     "simulate_coupled",
@@ -206,6 +209,12 @@ class _Breakpoints:
             return _Breakpoints(grid_times, no_ints, no_ints, np.empty(0), no_ints, no_rows, no_rows, no_rows)
         return _Breakpoints(grid_times, *(np.concatenate(column) for column in zip(*rounds)))
 
+    def head(self, n) -> "_Breakpoints":
+        """The breakpoints of particles ``0..n-1``, still in application order."""
+        keep = self.row < n
+        return _Breakpoints(self.grid_times, self.step[keep], self.row[keep], self.time[keep], self.band[keep],
+                            self.mark[keep], self.increment[keep], self.state[keep])
+
     def paths(self, grid_states) -> list[PathSolution]:
         """Per-particle paths: the uniform-grid states with the breakpoints inserted."""
         order = np.argsort(self.row, kind="stable")
@@ -242,6 +251,16 @@ class SimResult:
         if self._paths is None and self._breakpoints is not None:
             self._paths = self._breakpoints.paths(self.states)
         return self._paths
+
+    def head(self, n: int) -> "SimResult":
+        """Rows ``0..n-1`` of a decoupled run, clouds dropped: the same run on its tape's ``head(n)``."""
+        if not 1 <= n <= self.final.shape[0]:
+            raise ConfigurationError(f"cannot take {n} rows from a run of {self.final.shape[0]}")
+        return SimResult(
+            final=self.final[:n],
+            states=self.states[:, :n] if self.states is not None else None,
+            _breakpoints=self._breakpoints.head(n) if self._breakpoints is not None else None,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +412,20 @@ def _event_sums(vals, owner):
     """Per-owner sums of event values, owners ascending and contiguous.
 
     Each owner's ``(m, d)`` block is summed on its own, grouped by ``m``,
-    so the result is bit-equal to summing the blocks one at a time.
+    so the result is bit-equal to summing the blocks one at a time; when
+    no owner repeats, the values are their own sums.
     """
-    owners, start, count = np.unique(owner, return_index=True, return_counts=True)
-    sums = np.empty((owners.size, vals.shape[1]))
-    for m in np.unique(count):
+    first = np.ones(owner.size, dtype=bool)
+    first[1:] = owner[1:] != owner[:-1]
+    start = np.flatnonzero(first)
+    if start.size == owner.size:
+        return owner, vals
+    count = np.diff(np.append(start, owner.size))
+    sums = np.empty((start.size, vals.shape[1]))
+    for m in np.flatnonzero(np.bincount(count)):
         sel = count == m
         sums[sel] = vals[start[sel, None] + np.arange(m)].sum(axis=1)
-    return owners, sums
+    return owner[start], sums
 
 
 def _interlace(coeffs, ctx, x, rows, t0, t1, *, comp, comp0, small, big, common_small, common_big):
@@ -561,7 +586,7 @@ def _simulate_system(
         if cv[0].size:
             jumping = np.arange(n)
         else:
-            jumping = np.unique(big[0])
+            jumping = np.unique(big[0]) if big[0].size else no_rows
             for zc in cu[1]:
                 base += coeffs.common_small(X, np.broadcast_to(zc, (n, d)))
         u_row, _, u_mark = small
@@ -606,30 +631,6 @@ def _simulate_system(
 # ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
-
-
-def integrate_decoupled(
-    coeffs: CoefficientSet,
-    flow: MeasureFlow,
-    initial,
-    stream_ctx: StreamContext,
-    grid: TimeGrid,
-    levy: LevyModel,
-    config: Optional[SolverConfig] = None,
-    *,
-    particle_id: int = 0,
-) -> PathSolution:
-    """One path of the decoupled equation driven by a frozen measure flow.
-
-    ``initial`` is a point or a sampler (drawn from the particle's
-    INIT-layer stream).  The returned solution lives on the realized
-    grid: uniform points plus this stream's big-jump times, with
-    post-jump values stored at jump times and every spliced jump logged.
-    """
-    config = config or SolverConfig()
-    tape = _draw_tape(coeffs, levy, grid, stream_ctx, initial, 1, particle_ids=[particle_id])
-    res = _simulate_system(coeffs, levy, grid, tape, config, flow=flow, record_paths=True)
-    return res.paths[0]
 
 
 @dataclass
@@ -738,6 +739,7 @@ def simulate_coupled(
     *,
     record_paths: bool = False,
     tape: Optional[_EventTape] = None,
+    limit: Optional[SimResult] = None,
 ) -> CoupledResult:
     """Couple the n-particle system to n limit copies on identical noise.
 
@@ -748,7 +750,8 @@ def simulate_coupled(
     taken over the realized grid (shared by construction) when
     ``record_paths`` is set, over uniform grid times otherwise.  ``tape``
     passes in the first ``n`` particles of a tape already drawn from
-    ``stream_ctx``.
+    ``stream_ctx``, and ``limit`` the first ``n`` rows of the limit
+    copies already run on it (:meth:`SimResult.head`).
     """
     config = config or SolverConfig()
     if tape is None:
@@ -758,9 +761,12 @@ def simulate_coupled(
     inter = _simulate_system(
         coeffs, levy, grid, tape, config, interacting=True, collect_states=True, record_paths=record_paths
     )
-    limit = _simulate_system(
-        coeffs, levy, grid, tape, config, flow=reference_flow, collect_states=True, record_paths=record_paths
-    )
+    if limit is None:
+        limit = _simulate_system(
+            coeffs, levy, grid, tape, config, flow=reference_flow, collect_states=True, record_paths=record_paths
+        )
+    elif limit.final.shape[0] != n:
+        raise ConfigurationError(f"{n} particles but {limit.final.shape[0]} limit copies")
     diffs = np.sqrt(((inter.states - limit.states) ** 2).sum(axis=2))  # (times, n)
     sups = diffs.max(axis=0)
     finals = diffs[-1]

@@ -15,7 +15,7 @@ from levyfield.assumptions import check_one_sided_lipschitz
 from levyfield.cli import main
 from levyfield.config import config_digest, load_config, validate_and_build
 from levyfield.errors import ConfigurationError
-from levyfield.runner import run_experiment
+from levyfield.runner import conditional_reference, reference_fixed_point, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
@@ -278,10 +278,8 @@ def test_cli_worker_count_does_not_change_bytes(tmp_path, kind):
         assert sum(json.loads((outs[1] / "result.json").read_text())["details"]["common_events"]) > 0
 
 
-@pytest.mark.parametrize("kind", RATE_KINDS)
-def test_rate_run_rejects_a_bad_design_before_any_reference(tmp_path, monkeypatch, kind):
-    cfg = _rate_cfg(kind, replications=2)
-    cfg["experiment"]["p"] = 2.0  # p = beta leaves no chaos exponent to measure
+def _rejected_before_any_reference(tmp_path, monkeypatch, cfg):
+    """Run ``cfg`` with both reference builders disabled; return its ``error.json``."""
 
     def no_reference(*args, **kwargs):
         raise AssertionError("a reference was computed for a config that must be rejected")
@@ -293,7 +291,33 @@ def test_rate_run_rejects_a_bad_design_before_any_reference(tmp_path, monkeypatc
     error = _strict_json(out / "error.json")
     _assert_valid(error, "error.schema.json")
     assert error["error"] == "ConfigurationError"
-    assert "p < beta" in error["message"]
+    return error
+
+
+@pytest.mark.parametrize("kind", RATE_KINDS)
+def test_rate_run_rejects_a_bad_design_before_any_reference(tmp_path, monkeypatch, kind):
+    cfg = _rate_cfg(kind, replications=2)
+    cfg["experiment"]["p"] = 2.0  # p = beta leaves no chaos exponent to measure
+    assert "p < beta" in _rejected_before_any_reference(tmp_path, monkeypatch, cfg)["message"]
+
+
+@pytest.mark.parametrize("kind", ["poc", "common-noise"])
+def test_rate_run_rejects_an_off_grid_eval_time_before_any_reference(tmp_path, monkeypatch, kind):
+    cfg = _rate_cfg(kind, replications=2)
+    cfg["experiment"]["eval_time"] = 0.013
+    assert "not a grid time" in _rejected_before_any_reference(tmp_path, monkeypatch, cfg)["message"]
+
+
+def test_strong_poc_rejects_an_eval_time(tmp_path):
+    # the strong statistic is a supremum over the whole horizon: no evaluation time to pick
+    cfg = _rate_cfg("strong-poc", replications=2)
+    cfg["experiment"]["eval_time"] = 0.013
+    with pytest.raises(ConfigurationError, match="eval_time"):
+        validate_and_build(cfg)
+    path = _write_cfg(tmp_path, cfg)
+    result = CliRunner().invoke(main, ["strong-poc", "--config", path, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "config error" in result.stderr and "eval_time" in result.stderr
 
 
 def test_cli_jobs_default_comes_from_environment(tmp_path):
@@ -344,6 +368,31 @@ def test_cli_divergent_run_writes_error_json(tmp_path):
     assert error["magnitude"] > 1e12
     _assert_valid(error, "error.schema.json")
     assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
+
+
+@pytest.mark.parametrize("kind, threshold", [("poc", 3.0), ("strong-poc", 2.5), ("common-noise", 3.0)])
+def test_rate_run_diverging_in_a_replication_writes_error_json(tmp_path, monkeypatch, kind, threshold):
+    # a threshold the 8-particle reference stays under but some replication's 128 particles do not
+    cfg = _rate_cfg(kind, replications=2)
+    cfg["experiment"].update(n_grid=[4, 16, 128], reference_paths=8)
+    cfg["solver"]["divergence_threshold"] = threshold
+    references = []
+
+    def keeping(build):
+        def run(*args, **kwargs):
+            references.append(build(*args, **kwargs))
+            return references[-1]
+        return run
+
+    monkeypatch.setattr("levyfield.runner.reference_fixed_point", keeping(reference_fixed_point))
+    monkeypatch.setattr("levyfield.runner.conditional_reference", keeping(conditional_reference))
+    out = tmp_path / "out"
+    assert run_experiment(validate_and_build(cfg), out) == 2
+    assert len(references) == 1
+    error = _strict_json(out / "error.json")
+    _assert_valid(error, "error.schema.json")
+    assert error["error"] == "DivergenceError"
+    assert 0 <= error["particle"] < 128 and error["magnitude"] > threshold
 
 
 @pytest.mark.parametrize("kind", ["poc", "strong-poc"])

@@ -22,7 +22,7 @@ from levyfield.solver import (
     TimeGrid,
     _draw_tape,
     _event_sums,
-    integrate_decoupled,
+    _simulate_system,
     picard_fixed_point,
     resolve_gamma,
     simulate_coupled,
@@ -37,6 +37,12 @@ from conftest import assert_paths_equal, count_generators, make_levy, quick_conf
 GRID = TimeGrid.regular(1.0, 0.05)
 CTX = StreamContext(seed=101, experiment=EXP_MAIN, replica=0)
 INIT = normal_initial(1)
+
+
+def _decoupled_path(coeffs, flow, initial, grid, levy, config=None, particle_id=0):
+    """The path of one particle's decoupled run against ``flow``."""
+    tape = _draw_tape(coeffs, levy, grid, CTX, initial, 1, particle_ids=[particle_id])
+    return _simulate_system(coeffs, levy, grid, tape, config or SolverConfig(), flow=flow, record_paths=True).paths[0]
 
 
 def test_grid_requires_divisible_step():
@@ -77,8 +83,8 @@ def test_zero_rate_big_band_matches_deleted_band_bit_for_bit():
     levy_gone = LevyModel(dim=1, split_radius=1.0, small=small, big=None)
     coeffs = build_cubic_interaction(levy_zero, dim=1, beta=2.0)
     flow = MeasureFlow.constant(GRID.times, EmpiricalMeasure(np.zeros((4, 1))))
-    pa = integrate_decoupled(coeffs, flow, INIT, CTX, GRID, levy_zero)
-    pb = integrate_decoupled(coeffs, flow, INIT, CTX, GRID, levy_gone)
+    pa = _decoupled_path(coeffs, flow, INIT, GRID, levy_zero)
+    pb = _decoupled_path(coeffs, flow, INIT, GRID, levy_gone)
     assert_paths_equal(pa, pb)
 
 
@@ -99,7 +105,7 @@ def test_big_jumps_are_spliced_at_their_event_times():
     coeffs = build_frozen(levy, dim=1, beta=2.0, a=1.0, gamma_f=0.2, gamma_g=0.3)
     cloud = EmpiricalMeasure(np.zeros((4, 1)))
     flow = MeasureFlow.constant(GRID.times, cloud)
-    path = integrate_decoupled(coeffs, flow, INIT, CTX, GRID, levy)
+    path = _decoupled_path(coeffs, flow, INIT, GRID, levy)
     assert path.jumps, "pinned seed produced no big jumps; pick another seed"
     jump_times = [j.time for j in path.jumps]
     assert jump_times == sorted(jump_times)
@@ -122,7 +128,7 @@ def test_one_particle_system_equals_decoupled_run_on_its_own_flow():
     res = simulate_particle_system(
         coeffs, 1, INIT, levy, GRID, CTX, quick_config(), record_paths=True, collect_clouds=True
     )
-    again = integrate_decoupled(coeffs, res.flow, INIT, CTX, GRID, levy, quick_config())
+    again = _decoupled_path(coeffs, res.flow, INIT, GRID, levy, quick_config())
     assert_paths_equal(res.paths[0], again)
 
 
@@ -133,7 +139,7 @@ def test_measure_free_coefficients_decouple_the_system():
     sys_res = simulate_particle_system(coeffs, n, INIT, levy, GRID, CTX, record_paths=True)
     dummy = MeasureFlow.constant(GRID.times, EmpiricalMeasure(np.full((3, 1), 9.0)))
     for i in range(n):
-        solo = integrate_decoupled(coeffs, dummy, INIT, CTX, GRID, levy, particle_id=i)
+        solo = _decoupled_path(coeffs, dummy, INIT, GRID, levy, particle_id=i)
         assert_paths_equal(sys_res.paths[i], solo)
 
 
@@ -157,7 +163,7 @@ def test_grid_refinement_order_on_the_linear_model():
         h = 2.0**-k
         grid = TimeGrid.regular(1.0, h)
         flow = MeasureFlow.constant(grid.times, EmpiricalMeasure(np.zeros((2, 1))))
-        path = integrate_decoupled(coeffs, flow, point_initial([1.0]), CTX, grid, levy)
+        path = _decoupled_path(coeffs, flow, point_initial([1.0]), grid, levy)
         errors.append(abs(path.states[-1, 0] - math.exp(-1.0)))
         steps.append(h)
     slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
@@ -325,6 +331,66 @@ def test_event_sums_equal_summing_each_particle_alone():
         assert np.array_equal(total, vals[owner == j].sum(axis=0))
 
 
+@pytest.mark.parametrize("owner", [[0, 2, 3, 7, 8, 11], [5], []], ids=["distinct", "one-event", "no-events"])
+def test_event_sums_without_repeated_owners_equal_per_owner_sums(owner):
+    owner = np.array(owner, dtype=int)
+    vals = np.random.default_rng(4).normal(size=(owner.size, 2))
+    owners, sums = _event_sums(vals, owner)
+    assert owners.tolist() == owner.tolist()
+    assert sums.shape == (owner.size, 2)
+    for j, total in zip(owners, sums):
+        assert np.array_equal(total, vals[owner == j].sum(axis=0))
+
+
+def _prefix_case(case):
+    """(coeffs, levy, initial, grid, common realization or None) of a decoupled-prefix case."""
+    if case == "linear-state-jump":
+        levy = make_levy(big_rate=3.0)
+        coeffs = replace(build_linear_meanfield(levy, dim=1, beta=2.0, gamma_f=0.2), big_jump=lambda X, Z, ctx: X * Z)
+        return coeffs, levy, INIT, GRID, None
+    if case == "frozen-d2":
+        levy = make_levy(dim=2, big_rate=3.0)
+        return build_frozen(levy, dim=2, beta=2.0, a=1.0, gamma_f=0.3, gamma_g=0.2), levy, normal_initial(2), GRID, None
+    if case == "cubic-d2":
+        # the explicit cubic step stays stable across big jumps only on a finer grid
+        levy = make_levy(dim=2, big_hi=1.2)
+        coeffs = build_cubic_interaction(levy, dim=2, beta=2.0)
+        return coeffs, levy, normal_initial(2), TimeGrid.regular(1.0, 0.01), None
+    from levyfield.common_noise import sample_common_realization
+
+    levy = make_levy(big_rate=2.0)
+    coeffs = build_linear_meanfield(levy, dim=1, beta=2.0, gamma_f=0.2, gamma_f0=0.2, gamma_g0=0.3)
+    common = sample_common_realization(make_levy(small_rate=2.0, big_rate=3.0), CTX.with_(replica=4), GRID.horizon)
+    assert common.u_times.size and common.v_times.size
+    return coeffs, levy, INIT, GRID, common
+
+
+@pytest.mark.parametrize("case", ["linear-state-jump", "frozen-d2", "cubic-d2", "common"])
+def test_decoupled_run_rows_equal_the_run_on_a_tape_prefix(case):
+    coeffs, levy, initial, grid, common = _prefix_case(case)
+    flow = simulate_particle_system(coeffs, 32, initial, levy, grid, CTX.with_(replica=5)).flow
+    tape = _draw_tape(coeffs, levy, grid, CTX, initial, 24)
+
+    def run(t):
+        return _simulate_system(coeffs, levy, grid, t, SolverConfig(), flow=flow, common=common,
+                                collect_states=True, record_paths=True)
+
+    full = run(tape)
+    rows = full._breakpoints.row
+    assert np.any(rows < 7) and np.any(rows >= 7), "pinned seed splits no breakpoints at n = 7; pick another seed"
+    for n in (1, 7, 24):
+        head, own = full.head(n), run(tape.head(n))
+        assert np.array_equal(head.final, own.final)
+        assert np.array_equal(head.states, own.states)
+        for name in ("step", "row", "time", "band", "mark", "increment", "state"):
+            assert np.array_equal(getattr(head._breakpoints, name), getattr(own._breakpoints, name))
+        assert len(head.paths) == n
+        for pa, pb in zip(head.paths, own.paths):
+            assert_paths_equal(pa, pb)
+    with pytest.raises(ConfigurationError):
+        full.head(25)
+
+
 def _tape_arrays(tape):
     arrays = [tape.x0]
     for events in (tape.small, tape.big):
@@ -353,17 +419,21 @@ def test_coupled_run_on_a_shared_tape_equals_run_drawing_its_own(family):
         coeffs = build_frozen(levy, dim=1, beta=2.0, a=1.0, gamma_f=0.3, gamma_g=0.2)
     ref = simulate_particle_system(coeffs, 32, INIT, levy, GRID, CTX.with_(replica=5))
     tape = _draw_tape(coeffs, levy, GRID, CTX, INIT, 24)
+    limit = _simulate_system(coeffs, levy, GRID, tape, SolverConfig(), flow=ref.flow, collect_states=True,
+                             record_paths=True)
     for n in (8, 24):
         own = simulate_coupled(coeffs, n, INIT, levy, GRID, CTX, ref.flow, record_paths=True)
-        shared = simulate_coupled(
-            coeffs, n, INIT, levy, GRID, CTX, ref.flow, record_paths=True, tape=tape.head(n)
-        )
-        assert np.array_equal(own.sup_errors, shared.sup_errors)
-        assert np.array_equal(own.final_errors, shared.final_errors)
-        for pa, pb in zip(own.interacting.paths + own.limit.paths, shared.interacting.paths + shared.limit.paths):
-            assert_paths_equal(pa, pb)
+        for kw in ({"tape": tape.head(n)}, {"tape": tape.head(n), "limit": limit.head(n)}):
+            shared = simulate_coupled(coeffs, n, INIT, levy, GRID, CTX, ref.flow, record_paths=True, **kw)
+            assert np.array_equal(own.sup_errors, shared.sup_errors)
+            assert np.array_equal(own.final_errors, shared.final_errors)
+            for pa, pb in zip(own.interacting.paths + own.limit.paths,
+                              shared.interacting.paths + shared.limit.paths):
+                assert_paths_equal(pa, pb)
     with pytest.raises(ConfigurationError):
         simulate_coupled(coeffs, 8, INIT, levy, GRID, CTX, ref.flow, tape=tape)
+    with pytest.raises(ConfigurationError):
+        simulate_coupled(coeffs, 8, INIT, levy, GRID, CTX, ref.flow, tape=tape.head(8), limit=limit)
 
 
 @pytest.mark.parametrize("initial", [normal_initial(2), uniform_box_initial(2), point_initial([0.5, -1.0])])
