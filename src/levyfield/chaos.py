@@ -23,15 +23,17 @@ of the limit equation driven by a fixed-point reference flow; then
 where the fresh copies are a second, independent batch of limit copies.
 The i.i.d. term stands in for the distance to the true limit law, which
 is not available as an equal-size cloud; it obeys the same rate.  The
-reference flow comes from a fixed-point run with several times the
-largest particle count, and its own sampling error is part of the
-estimate, not corrected.
+reference flow is the interacting system on the reserved reference
+streams, with several times the largest particle count: the fixed point
+of the law map with common random numbers on those streams, exact at
+every grid time.  Its own sampling error is part of the estimate, not
+corrected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,11 +44,11 @@ from .initial import InitialSampler
 from .measures import lyapunov_diagnostic
 from .noise import LevyModel
 from .solver import (
+    PicardResult,
     SolverConfig,
     TimeGrid,
     _draw_tape,
     _simulate_system,
-    picard_fixed_point,
     simulate_coupled,
     simulate_particle_system,
 )
@@ -227,17 +229,29 @@ def _w_pp(a: np.ndarray, b: np.ndarray, p: float) -> float:
     return w_p_exact(a, b, p) ** p
 
 
-def reference_fixed_point(coeffs, initial_sampler, levy, grid, solver_cfg, poc_cfg, seed):
-    """Fixed-point reference flow from the reserved reference stream block.
+def _reference_tape(coeffs, levy, grid, initial_sampler, poc_cfg, seed):
+    """Tape of the reserved reference block: ``poc_cfg.reference_paths`` particles.
 
-    Uses ``poc_cfg.reference_paths`` inner paths (default four times the
-    largest particle count, so the reference's own sampling error decays
-    at least as fast as the statistic it calibrates).
+    The default is four times the largest particle count, so the
+    reference's own sampling error decays at least as fast as the
+    statistic it calibrates.
     """
     m_ref = poc_cfg.reference_paths or 4 * max(poc_cfg.n_grid)
-    ref_cfg = replace(solver_cfg, paths=m_ref)
     ctx = StreamContext(seed=seed, experiment=EXP_REFERENCE, replica=0)
-    return picard_fixed_point(coeffs, initial_sampler, levy, grid, ref_cfg, ctx)
+    return _draw_tape(coeffs, levy, grid, ctx, initial_sampler, m_ref)
+
+
+def reference_fixed_point(coeffs, initial_sampler, levy, grid, solver_cfg, poc_cfg, seed) -> PicardResult:
+    """Reference flow: the interacting system on the reserved reference block.
+
+    That run is the common-random-numbers Picard fixed point on these
+    streams, bit for bit at every grid time (see :mod:`levyfield.solver`),
+    returned as a one-pass :class:`PicardResult` with an empty trace;
+    ``gamma``, ``tol``, ``max_iter`` and ``crn`` play no part.
+    """
+    tape = _reference_tape(coeffs, levy, grid, initial_sampler, poc_cfg, seed)
+    run = _simulate_system(coeffs, levy, grid, tape, solver_cfg, interacting=True, collect_clouds=True)
+    return PicardResult(flow=run.flow, trace=[], iterations=1, initial_cloud=run.flow.clouds[0])
 
 
 def weak_poc_replication(
@@ -361,7 +375,6 @@ def rate_report(
         details,
         replications=values.shape[1],
         reference_paths=len(reference.initial_cloud),
-        reference_trace=reference.trace,
     )
     if values.ndim == 3:
         couplings, iids = values.transpose(2, 0, 1).copy()

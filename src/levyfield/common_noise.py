@@ -19,12 +19,12 @@ experiment reuses the weak one's replication and aggregation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .chaos import PoCConfig, RateReport, _coupling_replication, phi_rate, rate_report
+from .chaos import PoCConfig, RateReport, _coupling_replication, _reference_tape, phi_rate, rate_report
 from .coefficients import CoefficientSet
 from .errors import ConfigurationError, NonConvergenceError
 from .initial import InitialSampler
@@ -38,7 +38,7 @@ from .solver import (
     _simulate_system,
     resolve_gamma,
 )
-from .streams import EXP_MAIN, EXP_REFERENCE, Layer, StreamContext
+from .streams import EXP_MAIN, Layer, StreamContext
 from .wasserstein import _w_auto
 
 __all__ = [
@@ -324,12 +324,15 @@ def conditional_reference(
     solver_cfg: SolverConfig,
     seed: int,
 ) -> ConditionalPicardResult:
-    """Common paths plus their conditional fixed points for a chaos run.
+    """Common paths plus their conditional reference flows for a chaos run.
 
     Path j's events come from the main block at replica j, so the
     replication that measures path j later reuses exactly this
-    realization; the inner reference particles live in the reserved
-    reference block.
+    realization.  Its flow is the interacting system inside that
+    realization on the one tape of the reserved reference block that all
+    paths share: the common-random-numbers fixed point of
+    :func:`conditional_picard`, bit for bit, so a silent common layer
+    gives the plain reference.  One pass, empty trace.
     """
     realizations = [
         sample_common_realization(
@@ -337,12 +340,15 @@ def conditional_reference(
         )
         for j in range(poc_cfg.replications)
     ]
-    m_ref = poc_cfg.reference_paths or 4 * max(poc_cfg.n_grid)
-    ref_cfg = replace(solver_cfg, paths=m_ref)
-    return conditional_picard(
-        coeffs, initial_sampler, noise, grid, ref_cfg,
-        StreamContext(seed=seed, experiment=EXP_REFERENCE, replica=0),
-        realizations=realizations,
+    tape = _reference_tape(coeffs, noise.idio, grid, initial_sampler, poc_cfg, seed)
+    flows = [
+        _simulate_system(
+            coeffs, noise.idio, grid, tape, solver_cfg, interacting=True, common=realization, collect_clouds=True,
+        ).flow
+        for realization in realizations
+    ]
+    return ConditionalPicardResult(
+        flows=flows, realizations=realizations, trace=[], iterations=1, initial_cloud=flows[0].clouds[0],
     )
 
 

@@ -30,6 +30,7 @@ from .errors import ConfigurationError
 from .initial import INITIAL_SAMPLERS, InitialSampler
 from .noise import MARK_SAMPLERS, LevyBand, LevyModel
 from .solver import SolverConfig, TimeGrid
+from .wasserstein import EXACT_SIZE_CAP
 
 __all__ = [
     "CONFIG_VERSION",
@@ -239,6 +240,14 @@ def validate_and_build(cfg: dict) -> ExperimentSpec:
         solver = SolverConfig(**(cfg.get("solver") or {}))
     except (ConfigurationError, TypeError) as exc:
         problems.append(f"solver: {exc}")
+    # a Picard pass compares whole flows; in d >= 2 the exact metric solves one
+    # assignment per grid time and refuses clouds above the cap
+    if (kind == "picard" and solver is not None and dim >= 2
+            and solver.flow_metric == "exact" and solver.paths > EXACT_SIZE_CAP):
+        problems.append(
+            f"solver.paths {solver.paths} exceeds the exact-assignment cap {EXACT_SIZE_CAP} in dim {dim}; "
+            "lower it or set solver.flow_metric: sliced"
+        )
 
     experiment = cfg.get("experiment") or {}
     if not isinstance(experiment, dict):

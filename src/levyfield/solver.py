@@ -22,7 +22,12 @@ interacting system re-forms the cloud of current states at every uniform
 grid time (snapshot semantics: all particles read the same cloud no
 matter how the work is scheduled), and the fixed-point driver alternates
 the two, re-simulating the same noise against the previous iterate's
-flow until the discounted flow distance stalls below tolerance.
+flow until the discounted flow distance stalls below tolerance.  With
+common random numbers, pass i of that iteration is exact at grid times
+``t_0..t_i``, so its fixed point on a tape is the interacting system on
+the same tape, bit for bit.  A rate run's reference is therefore that
+one interacting run on the reserved reference streams; the iteration
+serves the ``picard`` experiment, which measures the contraction.
 
 Randomness discipline: each particle owns one stream per noise layer
 (initial draw, small band, big band), addressed by particle id.  The

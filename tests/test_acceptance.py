@@ -8,6 +8,7 @@ every verdict here is a deterministic regression.
 import json
 import math
 import time
+from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
 
@@ -162,12 +163,20 @@ def test_criterion_05_picard_contraction_and_uniqueness(capsys, tmp_path):
     )
     gap = flow_distance(default_run.flow, restarted.flow, spec.coeffs.beta, gamma)
     unique = gap < 2 * spec.solver.tol
+
+    # the discount hides late-time error; undiscounted, the passes must show contraction
+    plain_cfg = replace(spec.solver, gamma=0.0, tol=1e-12, max_iter=60, crn=True)
+    plain = picard_fixed_point(spec.coeffs, spec.initial, spec.levy, spec.grid, plain_cfg, ctx)
+    plain_ratios = [b / a for a, b in zip(plain.trace[1:], plain.trace[2:])]
+    plain_contraction = bool(plain_ratios) and all(r < 0.9 for r in plain_ratios)
     wall = time.time() - t0
-    ok = converged and gamma_ok and contraction and unique and len(trace) >= 2 and wall < 600
+    ok = converged and gamma_ok and contraction and unique and plain_contraction and len(trace) >= 2 and wall < 600
     _verdict(
         capsys, "criterion 5 (Picard contraction and uniqueness)", ok,
         f"converged in {res['iterations']} iters at gamma {res['gamma']:.2f} = 10*L1, "
         f"d2/d1 {trace[1] / trace[0]:.4f}, {len(ratios)} k>=2 ratios all < 0.9, "
+        f"undiscounted: {plain.iterations} iters, {len(plain_ratios)} k>=2 ratios, "
+        f"max {max(plain_ratios, default=math.nan):.4f} < 0.9, "
         f"restart gap {gap:.2e} < 2*tol, {wall:.0f}s < 600s",
     )
 

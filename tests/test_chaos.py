@@ -21,9 +21,10 @@ from levyfield.coefficients import build_cubic_interaction, build_frozen, build_
 from levyfield.errors import ConfigurationError
 from levyfield.initial import normal_initial, uniform_box_initial
 from levyfield.noise import no_noise
-from levyfield.solver import SolverConfig, TimeGrid
+from levyfield.solver import SolverConfig, TimeGrid, _draw_tape, _simulate_system, picard_fixed_point
+from levyfield.streams import EXP_REFERENCE, StreamContext
 
-from conftest import small_only_levy
+from conftest import make_levy, small_only_levy
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +162,25 @@ def _replicated(replicate, coeffs, levy, poc, seed):
         for r in range(poc.replications)
     ]
     return ref, reps
+
+
+def test_reference_is_the_crn_picard_limit_on_the_reference_block():
+    levy = make_levy()
+    coeffs = build_cubic_interaction(levy, dim=1, beta=2.0)
+    grid = TimeGrid.regular(1.0, 0.01)  # the explicit cubic step diverges across big jumps at 0.05
+    poc = PoCConfig(p=1.0, n_grid=[8, 16, 24], replications=2)
+    ref = reference_fixed_point(coeffs, normal_initial(1), levy, grid, QUICK, poc, 12)
+    ctx = StreamContext(seed=12, experiment=EXP_REFERENCE, replica=0)
+    exact = SolverConfig(paths=96, gamma=0.0, tol=1e-300, max_iter=grid.n_steps + 1)
+    limit = picard_fixed_point(coeffs, normal_initial(1), levy, grid, exact, ctx)
+    tape = _draw_tape(coeffs, levy, grid, ctx, normal_initial(1), 96)
+    assert tape.big.row.size > 0
+    inter = _simulate_system(coeffs, levy, grid, tape, QUICK, interacting=True, collect_clouds=True)
+    assert ref.iterations == 1 and ref.trace == []
+    assert np.array_equal(ref.initial_cloud.points, limit.initial_cloud.points)
+    for a, b, c in zip(ref.flow.clouds, limit.flow.clouds, inter.flow.clouds, strict=True):
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.points, c.points)
 
 
 def test_weak_poc_coupling_term_is_zero_for_measure_free_models():

@@ -31,7 +31,7 @@ from levyfield.solver import (
     picard_fixed_point,
     simulate_particle_system,
 )
-from levyfield.streams import EXP_MAIN, Layer, StreamContext
+from levyfield.streams import EXP_MAIN, EXP_REFERENCE, Layer, StreamContext
 from levyfield.wasserstein import flow_distance
 
 from conftest import count_generators, make_levy, small_only_levy
@@ -115,6 +115,32 @@ def test_conditional_picard_with_silent_common_layer_matches_plain(k):
     for flow in cond.flows:
         for fa, fb in zip(flow.clouds, plain.flow.clouds):
             assert np.array_equal(fa.points, fb.points)
+
+
+def test_crn_conditional_picard_limit_is_one_interacting_run_per_path():
+    # a live common layer: every path holds at least one common big event
+    idio = small_only_levy(rate=0.5)
+    noise = TwoLayerNoise(idio=idio, common=make_levy(small_rate=1.0, big_rate=1.0))
+    coeffs = build_linear_meanfield(idio, dim=1, beta=2.0, gamma_f=0.2, gamma_f0=0.2, gamma_g0=0.3)
+    poc = PoCConfig(p=1.0, n_grid=[8, 16, 32], replications=3, reference_paths=96)
+    exact = SolverConfig(paths=96, gamma=0.0, tol=1e-300, max_iter=GRID.n_steps + 1)
+    ref = conditional_reference(coeffs, noise, GRID, normal_initial(1), poc, exact, 42)
+    assert all(r.v_times.size > 0 for r in ref.realizations)
+    ctx = StreamContext(seed=42, experiment=EXP_REFERENCE, replica=0)
+    limit = conditional_picard(
+        coeffs, normal_initial(1), noise, GRID, exact, ctx, realizations=ref.realizations, eta=0.0
+    )
+    assert limit.trace[-1] == 0.0
+    assert ref.iterations == 1 and ref.trace == []
+    assert np.array_equal(ref.initial_cloud.points, limit.initial_cloud.points)
+    tape = _draw_tape(coeffs, idio, GRID, ctx, normal_initial(1), 96)
+    for realization, flow, limit_flow in zip(ref.realizations, ref.flows, limit.flows, strict=True):
+        run = _simulate_system(
+            coeffs, idio, GRID, tape, exact, interacting=True, common=realization, collect_clouds=True
+        )
+        for a, b, c in zip(run.flow.clouds, flow.clouds, limit_flow.clouds, strict=True):
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.points, c.points)
 
 
 def test_conditional_poc_with_silent_common_layer_matches_weak_poc():

@@ -16,6 +16,7 @@ from levyfield.cli import main
 from levyfield.config import config_digest, load_config, validate_and_build
 from levyfield.errors import ConfigurationError
 from levyfield.runner import conditional_reference, reference_fixed_point, run_experiment
+from levyfield.wasserstein import EXACT_SIZE_CAP
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
@@ -318,6 +319,36 @@ def test_strong_poc_rejects_an_eval_time(tmp_path):
     result = CliRunner().invoke(main, ["strong-poc", "--config", path, "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "config error" in result.stderr and "eval_time" in result.stderr
+
+
+def _picard_cfg(**solver):
+    cfg = load_config(CONFIG_DIR / "picard_cubic.yaml")
+    cfg["model"]["dim"] = 2
+    cfg["solver"].update(solver)
+    return cfg
+
+
+def test_picard_rejects_an_exact_flow_metric_above_the_assignment_cap(tmp_path, monkeypatch):
+    # in d >= 2 every pass would solve one assignment per grid time, refused above the cap
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a config that must be rejected reached the solver")
+
+    monkeypatch.setattr("levyfield.runner.picard_fixed_point", no_simulation)
+    monkeypatch.setattr("levyfield.solver._simulate_system", no_simulation)
+    cfg = _picard_cfg(paths=5000)
+    with pytest.raises(ConfigurationError, match="exact-assignment cap"):
+        validate_and_build(cfg)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["picard", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "config error" in result.stderr and "exact-assignment cap" in result.stderr
+    assert not out.exists()
+    # dropping any one of the three conditions is accepted
+    validate_and_build(_picard_cfg(paths=EXACT_SIZE_CAP))
+    validate_and_build(_picard_cfg(paths=5000, flow_metric="sliced"))
+    one_d = _picard_cfg(paths=5000)
+    one_d["model"]["dim"] = 1
+    validate_and_build(one_d)
 
 
 def test_cli_jobs_default_comes_from_environment(tmp_path):

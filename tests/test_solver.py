@@ -316,6 +316,22 @@ def test_crn_off_resamples_noise_across_iterations():
     assert min(off_trace) > 1e-3
 
 
+def test_crn_picard_limit_is_the_interacting_system_at_every_grid_time():
+    # with common random numbers pass i is exact at t_0..t_i, so the
+    # undiscounted iteration stops at distance 0 on the interacting run
+    levy = make_levy()
+    coeffs = build_cubic_interaction(levy, dim=1, beta=2.0)
+    grid = TimeGrid.regular(1.0, 0.01)  # the explicit cubic step diverges across big jumps at 0.05
+    cfg = quick_config(paths=128, gamma=0.0, tol=1e-300, max_iter=grid.n_steps + 1)
+    res = picard_fixed_point(coeffs, INIT, levy, grid, cfg, CTX)
+    tape = _draw_tape(coeffs, levy, grid, CTX, INIT, 128)
+    assert tape.big.row.size > 0
+    inter = _simulate_system(coeffs, levy, grid, tape, cfg, interacting=True, collect_clouds=True)
+    assert res.trace[-1] == 0.0
+    for a, b in zip(res.flow.clouds, inter.flow.clouds, strict=True):
+        assert np.array_equal(a.points, b.points)
+
+
 # ---------------------------------------------------------------------------
 # event tape reuse
 # ---------------------------------------------------------------------------
