@@ -38,7 +38,7 @@ from .common_noise import (
     simulate_common_system,
 )
 from .errors import ConfigurationError, DivergenceError, IntegrabilityError, NonConvergenceError
-from .initial import INITIAL_SAMPLERS, normal_initial, point_initial, uniform_box_initial
+from .initial import INITIAL_SAMPLERS, InitialLaw, normal_initial, point_initial, uniform_box_initial
 from .measures import EmpiricalMeasure, MeasureFlow, beta_norm, interaction_term, lyapunov_diagnostic
 from .noise import (
     AnnulusUniform,
@@ -50,7 +50,6 @@ from .noise import (
     RadialExponential,
     no_noise,
     nu_expectation,
-    register_mark_sampler,
     v_beta_moment,
 )
 from .solver import (

@@ -40,7 +40,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .errors import ConfigurationError
-from .initial import InitialSampler
+from .initial import InitialLaw
 from .measures import lyapunov_diagnostic
 from .noise import LevyModel
 from .solver import (
@@ -484,7 +484,7 @@ def run_moment_experiment(
     coeffs: CoefficientSet,
     levy: LevyModel,
     grid: TimeGrid,
-    initial_sampler: InitialSampler,
+    initial_sampler: InitialLaw,
     scalings: Sequence[float],
     solver_cfg: SolverConfig,
     seed: int,
@@ -506,9 +506,6 @@ def run_moment_experiment(
     beta = coeffs.beta
     rows = {k: [] for k in ("init", "final", "supmean", "suplyap", "meansup")}
     for s_idx, s in enumerate(scalings):
-        def scaled(gen, _s=float(s)):
-            return _s * initial_sampler(gen)
-
         tracker = {"supmean": -math.inf, "suplyap": -math.inf, "init": None, "final": None, "persup": None}
 
         def observer(k, t, X):
@@ -526,7 +523,7 @@ def run_moment_experiment(
 
         ctx = StreamContext(seed=seed, experiment=EXP_MAIN, replica=s_idx)
         simulate_particle_system(
-            coeffs, solver_cfg.paths, scaled, levy, grid, ctx, solver_cfg,
+            coeffs, solver_cfg.paths, initial_sampler.scaled(s), levy, grid, ctx, solver_cfg,
             collect_clouds=False, observer=observer,
         )
         rows["init"].append(tracker["init"])

@@ -27,9 +27,9 @@ import numpy as np
 from .chaos import PoCConfig, RateReport, _coupling_replication, _reference_tape, phi_rate, rate_report
 from .coefficients import CoefficientSet
 from .errors import ConfigurationError, NonConvergenceError
-from .initial import InitialSampler
+from .initial import InitialLaw
 from .measures import EmpiricalMeasure, MeasureFlow
-from .noise import LevyModel, _draw_poisson_events, no_noise
+from .noise import LevyModel, _draw_block_events, no_noise
 from .solver import (
     SimResult,
     SolverConfig,
@@ -114,22 +114,23 @@ def sample_common_realization(
 ) -> CommonRealization:
     """Draw one common path from the context's dedicated common streams.
 
-    Both bands are sampled over the full horizon up front (count, then
-    sorted uniform arrival times, then marks), from the common layers at
-    particle id 0.  A zero-rate band draws nothing, so deleting a band
-    and zeroing its rate produce the same realization.
+    Each band is drawn like a tape's big band: by the block drawer over
+    the one-step grid ``[0, horizon]`` (count, then sorted uniform arrival
+    times, then marks), from its common layer at particle id 0.  A
+    zero-rate band draws nothing, so deleting a band and zeroing its rate
+    produce the same realization.
     """
     if horizon < 0:
         raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
-    d = model.dim
-    u_times, u_marks = np.empty(0), np.empty((0, d))
-    v_times, v_marks = np.empty(0), np.empty((0, d))
-    if model.small is not None and model.small.rate > 0.0:
-        gen = stream_ctx.generator(0, Layer.COMMON_SMALL)
-        u_times, u_marks = _draw_poisson_events(gen, 0.0, horizon, model.small)
-    if model.big is not None and model.big.rate > 0.0:
-        gen = stream_ctx.generator(0, Layer.COMMON_BIG)
-        v_times, v_marks = _draw_poisson_events(gen, 0.0, horizon, model.big)
+
+    def events(band, layer):
+        if band is None or band.rate == 0.0:
+            return np.empty(0), np.empty((0, model.dim))
+        _, _, times, marks = _draw_block_events(stream_ctx.keys([0], layer), np.array([0.0, horizon]), band)
+        return times, marks
+
+    u_times, u_marks = events(model.small, Layer.COMMON_SMALL)
+    v_times, v_marks = events(model.big, Layer.COMMON_BIG)
     return CommonRealization(
         model=model, u_times=u_times, u_marks=u_marks, v_times=v_times, v_marks=v_marks
     )
@@ -154,7 +155,7 @@ class CommonSimResult:
 def simulate_common_system(
     coeffs: CoefficientSet,
     n: int,
-    initial_sampler: InitialSampler,
+    initial_sampler: InitialLaw,
     noise: TwoLayerNoise,
     grid: TimeGrid,
     stream_ctx: StreamContext,
@@ -237,7 +238,7 @@ class ConditionalPicardResult:
 
 def conditional_picard(
     coeffs: CoefficientSet,
-    initial_sampler: InitialSampler,
+    initial_sampler: InitialLaw,
     noise: TwoLayerNoise,
     grid: TimeGrid,
     config: SolverConfig,
@@ -319,7 +320,7 @@ def conditional_reference(
     coeffs: CoefficientSet,
     noise: TwoLayerNoise,
     grid: TimeGrid,
-    initial_sampler: InitialSampler,
+    initial_sampler: InitialLaw,
     poc_cfg: PoCConfig,
     solver_cfg: SolverConfig,
     seed: int,
@@ -356,7 +357,7 @@ def conditional_poc_replication(
     coeffs: CoefficientSet,
     noise: TwoLayerNoise,
     grid: TimeGrid,
-    initial_sampler: InitialSampler,
+    initial_sampler: InitialLaw,
     poc_cfg: PoCConfig,
     solver_cfg: SolverConfig,
     seed: int,

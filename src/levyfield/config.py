@@ -27,9 +27,10 @@ from . import __version__
 from .coefficients import FAMILIES, CoefficientSet
 from .common_noise import TwoLayerNoise
 from .errors import ConfigurationError
-from .initial import INITIAL_SAMPLERS, InitialSampler
+from .initial import INITIAL_SAMPLERS, InitialLaw
 from .noise import MARK_SAMPLERS, LevyBand, LevyModel
 from .solver import SolverConfig, TimeGrid
+from .streams import STREAM_SCHEME
 from .wasserstein import EXACT_SIZE_CAP
 
 __all__ = [
@@ -76,7 +77,7 @@ class ExperimentSpec:
     raw: dict
     coeffs: CoefficientSet
     levy: LevyModel
-    initial: InitialSampler
+    initial: InitialLaw
     grid: TimeGrid
     solver: SolverConfig
     experiment: dict
@@ -122,6 +123,10 @@ def _build_band(block, dim: int, where: str, problems: list) -> Optional[LevyBan
     if not isinstance(block, dict):
         problems.append(f"{where} must be a mapping or null")
         return None
+    unknown = set(block) - {"rate", "sampler", "params"}
+    if unknown:
+        problems.append(f"{where}: unknown band keys {sorted(unknown)}; a band has rate, sampler and params")
+        return None
     if "rate" not in block:
         problems.append(f"{where}: band needs a rate")
         return None
@@ -129,12 +134,7 @@ def _build_band(block, dim: int, where: str, problems: list) -> Optional[LevyBan
     if sampler is None:
         return None
     try:
-        return LevyBand(
-            rate=float(block["rate"]),
-            sampler=sampler,
-            inner_cutoff=block.get("inner_cutoff"),
-            truncation_note=block.get("truncation_note", ""),
-        )
+        return LevyBand(rate=float(block["rate"]), sampler=sampler)
     except ConfigurationError as exc:
         problems.append(f"{where}: {exc}")
         return None
@@ -323,6 +323,11 @@ def _check_experiment(kind: str, exp: dict) -> list[str]:
         cvariant = exp.get("coercivity_variant", "A2")
         if cvariant not in ("A2", "A21", "B2"):
             problems.append(f"experiment.coercivity_variant must be 'A2', 'A21' or 'B2', got {cvariant!r}")
+    if kind in ("poc", "strong-poc", "common-noise"):
+        if "reference_paths" in exp:
+            need("reference_paths", is_pos_int, "must be a positive integer")
+        if "slack" in exp:
+            need("slack", lambda v: isinstance(v, (int, float)) and v >= 0, "must be a number >= 0")
     return problems
 
 
@@ -339,7 +344,10 @@ class RunManifest:
     jobs: int = 1
     outputs: list = field(default_factory=list)
     exit_code: int = 0
-    # the bytes of a run rest on numpy's Philox, Poisson and random() algorithms
+    # which draw each stream address yields, see levyfield.streams
+    stream_scheme: int = STREAM_SCHEME
+    # particle and common draws rest on Philox raw outputs and numpy's float64
+    # log1p/cos/sqrt; AUX draws still use numpy's generator algorithms
     environment: dict = field(default_factory=dict)
 
     @staticmethod

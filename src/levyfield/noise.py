@@ -11,11 +11,11 @@ bands:
 
 Both bands are finite activity here: events on ``[0, T]`` arrive as a
 Poisson process with rate ``nu(band)`` and carry i.i.d. marks from the
-normalized restriction ``nu|_band / nu(band)``.  A small band may also be
-declared as the truncation of an infinite-activity measure, in which case
-the discarded inner region ``{0 < |z| <= eps}`` is recorded so reports can
-carry the truncation bias note; the simulated object is still the
-finite-activity remainder.
+normalized restriction ``nu|_band / nu(band)``.  Under stream scheme 2
+(see :mod:`levyfield.streams`) every count, arrival time and mark of a
+band is a fixed transform of its stream's ``random()`` doubles, so the
+events of a whole block of streams are drawn at once
+(:func:`_draw_block_events`).
 
 Well-posedness of the dynamics requires, for the integrability exponent
 ``beta`` in ``[1, 2]``, that ``nu(|z|^2 ; U)`` and ``nu(1 v |z|^beta ; V)``
@@ -27,13 +27,13 @@ Monte Carlo otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, IntegrabilityError
-from .streams import EXP_AUX, Layer, NoiseStream, Rekeyable, StreamBlock
+from .streams import EXP_AUX, Layer, NoiseStream, StreamBlock, standard_normals
 
 __all__ = [
     "MarkSampler",
@@ -41,7 +41,6 @@ __all__ = [
     "RadialExponential",
     "FixedMark",
     "MARK_SAMPLERS",
-    "register_mark_sampler",
     "LevyBand",
     "LevyModel",
     "NuEstimate",
@@ -58,30 +57,27 @@ __all__ = [
 class MarkSampler:
     """Law of one jump mark, i.e. the normalized restriction of nu to a band.
 
-    Subclasses must set ``dim``, the radial support ``(r_lo, r_hi)``, the
-    mean vector ``mean`` under the normalized law, and implement
-    ``draw(gen, size)`` returning a ``(size, dim)`` array.  ``radial_cdf``
-    and ``abs_moment`` are optional closed forms used by statistical tests
-    and exact integrals; leave them as None / NotImplemented when absent.
-
-    A sampler whose ``draw`` consumes nothing but ``uniforms`` blocks of
-    ``size`` ``random()`` doubles, one block after another, sets
-    ``uniforms`` and implements ``from_uniforms``; its marks are then
-    drawn for many streams at once.  Any other sampler leaves ``uniforms``
-    as None and is always drawn through ``draw``.
+    Subclasses set ``dim``, the radial support ``(r_lo, r_hi)``, the mean
+    vector ``mean`` under the normalized law, and the number ``uniforms``
+    of doubles one mark takes, and implement ``from_uniforms``.  Marks are
+    a fixed transform of those doubles, so they are drawn for many
+    streams at once.  ``radial_cdf`` and ``abs_moment`` are optional
+    closed forms used by statistical tests and exact integrals; leave them
+    as None when absent.
     """
 
     dim: int
     r_lo: float
     r_hi: float
     mean: np.ndarray
-    uniforms: Optional[int] = None
+    uniforms: int
 
     def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
+        """``size`` marks from ``uniforms`` blocks of ``size`` doubles of ``gen``, one block after another."""
+        return self.from_uniforms(gen.random((self.uniforms, size)))
 
     def from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """The ``(size, dim)`` marks ``draw`` makes from the ``(uniforms, size)`` doubles ``u``."""
+        """The ``(size, dim)`` marks made from the ``(uniforms, size)`` doubles ``u``."""
         raise NotImplementedError
 
     def radial_cdf(self, r):
@@ -93,11 +89,18 @@ class MarkSampler:
         return None
 
 
-def _uniform_directions(gen, size, dim):
-    # isotropic unit vectors; in 1D a fair sign
+def _direction_uniforms(dim: int) -> int:
+    return 1 if dim == 1 else 2 * dim
+
+
+def _directions(u, dim):
+    """Isotropic unit vectors from ``(_direction_uniforms(dim), size)`` doubles.
+
+    In 1D a fair sign; otherwise ``dim`` Box-Muller normals, normalized.
+    """
     if dim == 1:
-        return np.where(gen.random(size) < 0.5, -1.0, 1.0)[:, None]
-    v = gen.standard_normal((size, dim))
+        return np.where(u[0] < 0.5, -1.0, 1.0)[:, None]
+    v = standard_normals(u[0::2], u[1::2]).T
     norms = np.sqrt((v * v).sum(axis=1, keepdims=True))
     # a zero normal vector has probability zero; nudge defensively
     norms[norms == 0.0] = 1.0
@@ -120,23 +123,15 @@ class AnnulusUniform(MarkSampler):
         self.r_lo = float(r_lo)
         self.r_hi = float(r_hi)
         self.mean = np.zeros(self.dim)
-        # in 1D the direction is a fair sign, one more random() per mark
-        self.uniforms = 2 if self.dim == 1 else None
-
-    def _radius(self, u):
-        d = self.dim
-        radius = (self.r_lo**d + u * (self.r_hi**d - self.r_lo**d)) ** (1.0 / d)
-        # the band never contains the origin
-        np.maximum(radius, np.nextafter(0.0, 1.0), out=radius)
-        return radius
-
-    def draw(self, gen, size):
-        radius = self._radius(gen.random(size))
-        return _uniform_directions(gen, size, self.dim) * radius[:, None]
+        # one double for the radius, then the direction's
+        self.uniforms = 1 + _direction_uniforms(self.dim)
 
     def from_uniforms(self, u):
-        sign = np.where(u[1] < 0.5, -1.0, 1.0)[:, None]
-        return sign * self._radius(u[0])[:, None]
+        d = self.dim
+        radius = (self.r_lo**d + u[0] * (self.r_hi**d - self.r_lo**d)) ** (1.0 / d)
+        # the band never contains the origin
+        np.maximum(radius, np.nextafter(0.0, 1.0), out=radius)
+        return _directions(u[1:], d) * radius[:, None]
 
     def radial_cdf(self, r):
         d = self.dim
@@ -152,10 +147,11 @@ class AnnulusUniform(MarkSampler):
 class RadialExponential(MarkSampler):
     """Isotropic marks with exponentially decaying radius.
 
-    ``|Z| = r_lo + E`` with ``E ~ Exp(decay)``; direction isotropic.
-    Unbounded support, so only valid as a big-band law when every
-    ``|z|^beta`` moment required by the dynamics is finite, which holds
-    for all ``beta`` here since the radius has exponential tails.
+    ``|Z| = r_lo + E`` with ``E ~ Exp(decay)``, ``E = -log1p(-u) / decay``;
+    direction isotropic.  Unbounded support, so only valid as a big-band
+    law when every ``|z|^beta`` moment required by the dynamics is
+    finite, which holds for all ``beta`` here since the radius has
+    exponential tails.
     """
 
     def __init__(self, dim: int, r_lo: float, decay: float):
@@ -166,10 +162,11 @@ class RadialExponential(MarkSampler):
         self.r_hi = math.inf
         self.decay = float(decay)
         self.mean = np.zeros(self.dim)
+        self.uniforms = 1 + _direction_uniforms(self.dim)
 
-    def draw(self, gen, size):
-        radius = self.r_lo + gen.exponential(1.0 / self.decay, size)
-        return _uniform_directions(gen, size, self.dim) * radius[:, None]
+    def from_uniforms(self, u):
+        radius = self.r_lo - np.log1p(-u[0]) / self.decay
+        return _directions(u[1:], self.dim) * radius[:, None]
 
     def radial_cdf(self, r):
         r = np.asarray(r, dtype=float)
@@ -204,11 +201,8 @@ class FixedMark(MarkSampler):
         self._mark = z
         self.uniforms = 0
 
-    def draw(self, gen, size):
-        return np.broadcast_to(self._mark, (size, self.dim)).copy()
-
     def from_uniforms(self, u):
-        return self.draw(None, u.shape[1])
+        return np.tile(self._mark, (u.shape[1], 1))
 
     def abs_moment(self, q):
         return self.r_lo**q
@@ -221,11 +215,6 @@ MARK_SAMPLERS: dict[str, Callable[..., MarkSampler]] = {
 }
 
 
-def register_mark_sampler(name: str, factory: Callable[..., MarkSampler]) -> None:
-    """Register a mark-law factory under ``name`` for config files."""
-    MARK_SAMPLERS[name] = factory
-
-
 # ---------------------------------------------------------------------------
 # bands and the two-band model
 # ---------------------------------------------------------------------------
@@ -236,30 +225,14 @@ class LevyBand:
     """One finite-activity band of the jump measure.
 
     ``rate`` is the total mass ``nu(band)``; marks follow ``sampler``.
-    ``inner_cutoff`` marks a truncated small band: the original measure on
-    ``{0 < |z| <= inner_cutoff}`` was discarded, and ``truncation_note``
-    records the declared bias statement for reports.
     """
 
     rate: float
     sampler: MarkSampler
-    inner_cutoff: Optional[float] = None
-    truncation_note: str = ""
 
     def __post_init__(self):
-        problems = []
         if self.rate < 0 or not math.isfinite(self.rate):
-            problems.append(f"band rate must be finite and >= 0, got {self.rate}")
-        if self.inner_cutoff is not None and not self.inner_cutoff > 0:
-            problems.append(
-                f"truncated band needs a positive declared cutoff, got {self.inner_cutoff}"
-            )
-        if problems:
-            raise ConfigurationError(problems)
-
-    @property
-    def truncated(self) -> bool:
-        return self.inner_cutoff is not None
+            raise ConfigurationError(f"band rate must be finite and >= 0, got {self.rate}")
 
     def mean_measure(self) -> np.ndarray:
         """Un-normalized first moment ``integral z nu(dz)`` over the band."""
@@ -341,49 +314,46 @@ def no_noise(dim: int) -> LevyModel:
 # ---------------------------------------------------------------------------
 
 
-def _draw_poisson_events(gen, t0, t1, band):
-    """Events of one band on ``(t0, t1]`` from a live generator.
-
-    Count is Poisson(rate * (t1 - t0)); given the count, arrival times are
-    uniform order statistics on the interval, which realizes exactly the
-    homogeneous Poisson process with exponential gaps.  Draw order is
-    fixed (count, times, marks) so replaying the generator replays the
-    events.  Returns (times, marks) arrays, possibly empty.
-    """
-    dt = t1 - t0
-    if band is None or band.rate == 0.0 or dt <= 0.0:
-        return np.empty(0), np.empty((0, 0))
-    count = int(gen.poisson(band.rate * dt))
-    if count == 0:
-        return np.empty(0), np.empty((0, band.sampler.dim))
-    times = np.sort(gen.uniform(t0, t1, count))
-    # open interval on the left: shift a (probability-zero) tie off t0
-    times[times == t0] = np.nextafter(t0, t1)
-    # distinct arrival times, also a probability-zero event under ties
-    for i in range(1, count):
-        if times[i] <= times[i - 1]:
-            times[i] = np.nextafter(times[i - 1], math.inf)
-    marks = band.sampler.draw(gen, count)
-    return times, marks
-
-
 _CHUNK_ROWS = 1024  # streams whose raw outputs are held at once
+_INVERSION_MEAN = 10.0  # counts of a larger mean are drawn by inversion
 
 
 def _no_events(dim):
     return np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0), np.empty((0, dim))
 
 
-def _poisson_counts(block, lam):
-    """numpy's ``poisson(lam)`` for ``0 <= lam < 10`` on every stream of ``block``.
+def _poisson_cdf(lam):
+    """``(lo, cdf)``: the Poisson(``lam``) CDF at counts ``lo, lo + 1, ...``.
 
-    numpy's multiplication method: multiply ``random()`` doubles until the
-    product falls to ``exp(-lam)``; the count is the number of doubles
-    before that one.
+    The counts span the mode plus or minus ``10 sqrt(lam) + 25``, which
+    holds all but less than 1e-20 of the mass.  Weights are built outward from
+    the mode by the ratios ``lam / k`` and normalized to end at exactly
+    1.0, so nothing underflows where ``exp(-lam)`` does (lam > 745).
     """
+    mode = math.floor(lam)
+    half = math.ceil(10.0 * math.sqrt(lam)) + 25
+    lo, hi = max(0, mode - half), mode + half
+    up = np.cumprod(lam / np.arange(mode + 1, hi + 1))
+    down = np.cumprod(np.arange(mode, lo, -1) / lam)[::-1]
+    cdf = np.cumsum(np.concatenate([down, [1.0], up]))
+    return lo, cdf / cdf[-1]
+
+
+def _poisson_counts(block, lam):
+    """One Poisson(``lam``) count for every stream of ``block``.
+
+    Below mean 10, numpy's multiplication method: multiply ``random()``
+    doubles until the product falls to ``exp(-lam)``; the count is the
+    number of doubles before that one, and a zero mean draws nothing.
+    From mean 10 on, inversion of one double: the count is the first
+    whose CDF exceeds it.
+    """
+    if lam >= _INVERSION_MEAN:
+        lo, cdf = _poisson_cdf(lam)
+        return lo + np.searchsorted(cdf, block.doubles(np.arange(block.size), 1)[:, 0], side="right")
     counts = np.zeros(block.size, dtype=np.int64)
     if lam == 0.0:
-        return counts  # numpy draws nothing
+        return counts
     enlam = math.exp(-lam)
     prod = np.ones(block.size)
     live = np.arange(block.size)
@@ -395,7 +365,12 @@ def _poisson_counts(block, lam):
 
 
 def _arrival_times(u, t0, t1):
-    """Sorted arrival times on ``(t0, t1]`` from each row of doubles ``u``, as :func:`_draw_poisson_events` makes them."""
+    """Sorted, distinct arrival times on ``(t0, t1]`` from each row of doubles ``u``.
+
+    Given its count, a Poisson process's arrivals are uniform order
+    statistics; a (probability-zero) time at ``t0`` or a tie is nudged up
+    by one ulp.
+    """
     times = np.sort(t0 + (t1 - t0) * u, axis=1)
     times[times == t0] = np.nextafter(t0, t1)
     for i in range(1, times.shape[1]):
@@ -408,57 +383,43 @@ def _draw_block_steps(block, grid_times, band):
     """Events of ``band`` on every step of ``grid_times`` for the streams of ``block``.
 
     Per step, every stream draws its count, then its arrival times, then
-    its marks, exactly as :func:`_draw_poisson_events` on that stream's
-    generator would.  Counts with ``lam >= 10`` (numpy's PTRS sampler) and
-    marks of a sampler without ``uniforms`` are handed off to the
-    generator.  Returns ``(row, step, time, mark)`` in (step, row, time)
-    order.
+    the ``uniforms`` blocks of its marks, one block of ``count`` doubles
+    after another.  Returns ``(row, step, time, mark)`` in (step, row,
+    time) order.
     """
     sampler = band.sampler
     out = [_no_events(sampler.dim)]
     for k in range(grid_times.size - 1):
         t0, t1 = float(grid_times[k]), float(grid_times[k + 1])
-        lam = band.rate * (t1 - t0)
-        if lam >= 10.0:
-            for j in range(block.size):
-                t, z = block.handoff(j, lambda g: _draw_poisson_events(g, t0, t1, band))
-                if t.size:
-                    out.append((np.full(t.size, j), np.full(t.size, k), t, z))
-            continue
-        counts = _poisson_counts(block, lam)
+        counts = _poisson_counts(block, band.rate * (t1 - t0))
         hit = np.flatnonzero(counts)
         for c in np.unique(counts[hit]):
             rows = hit[counts[hit] == c]
             times = _arrival_times(block.doubles(rows, c), t0, t1)
-            if sampler.uniforms is not None:
-                u = block.doubles(rows, sampler.uniforms * c).reshape(rows.size, sampler.uniforms, c)
-                marks = sampler.from_uniforms(u.transpose(1, 0, 2).reshape(sampler.uniforms, rows.size * c))
-            else:
-                marks = np.concatenate([block.handoff(j, lambda g: sampler.draw(g, c)) for j in rows])
+            u = block.doubles(rows, sampler.uniforms * c).reshape(rows.size, sampler.uniforms, c)
+            marks = sampler.from_uniforms(u.transpose(1, 0, 2).reshape(sampler.uniforms, rows.size * c))
             out.append((np.repeat(rows, c), np.full(rows.size * c, k), times.ravel(), marks))
     row, step, time, mark = (np.concatenate(column) for column in zip(*out))
     order = np.lexsort((row, step))
     return row[order], step[order], time[order], mark[order]
 
 
-def _draw_block_events(keys, grid_times, band, generator: Rekeyable):
+def _draw_block_events(keys, grid_times, band):
     """Events of ``band`` on every step of ``grid_times`` for the streams keyed by ``keys``.
 
-    Row ``j`` draws exactly what :func:`_draw_poisson_events` draws step
-    after step on a generator of stream ``keys[j]``.  The streams are
-    drawn :data:`_CHUNK_ROWS` at a time, so the raw outputs held at once
-    stay bounded.  ``generator`` takes the draws that cannot be made from
-    raw outputs.  Returns ``(row, step, time, mark)`` in (step, row, time)
+    Row ``j`` is stream ``keys[j]`` read step after step as
+    :func:`_draw_block_steps` describes.  The streams are drawn
+    :data:`_CHUNK_ROWS` at a time, so the raw outputs held at once stay
+    bounded.  Returns ``(row, step, time, mark)`` in (step, row, time)
     order.
     """
     lam = band.rate * float(grid_times[-1] - grid_times[0])
-    per_event = 2 + (band.sampler.uniforms if band.sampler.uniforms is not None else band.sampler.dim + 1)
+    per_event = 2 + band.sampler.uniforms
     # enough for nearly every stream of a chunk; a longer one grows the buffer
     words = int(grid_times.size - 1 + per_event * (lam + 6.0 * math.sqrt(lam) + 4.0))
     parts = [_no_events(band.sampler.dim)]
     for a in range(0, keys.shape[0], _CHUNK_ROWS):
-        block = StreamBlock(keys[a:a + _CHUNK_ROWS], generator, words)
-        row, step, time, mark = _draw_block_steps(block, grid_times, band)
+        row, step, time, mark = _draw_block_steps(StreamBlock(keys[a:a + _CHUNK_ROWS], words), grid_times, band)
         parts.append((row + a, step, time, mark))
     row, step, time, mark = (np.concatenate(column) for column in zip(*parts))
     order = np.argsort(step, kind="stable")

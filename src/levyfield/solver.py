@@ -39,11 +39,11 @@ share one tape: the coupled pair, every particle count of a replication
 (a prefix of the largest count's tape), and every pass of a
 common-random-numbers fixed point.  Each layer of a tape is drawn for
 all its particles at once from the raw Philox outputs of their streams
-(:class:`~levyfield.streams.StreamBlock`); a draw that cannot be made
-from raw outputs is handed off to one generator moved to the stream's
-key and position, so every stream yields exactly what a generator of its
-own would.  Neither schedule nor particle count ever reorders another
-particle's draws.  Consequences tested elsewhere:
+(:class:`~levyfield.streams.StreamBlock`): under stream scheme 2 every
+initial state and event is a fixed transform of the stream's ``random()``
+doubles, so a stream yields exactly what a scalar reading of its own
+generator makes of it.  Neither schedule nor particle count ever
+reorders another particle's draws.  Consequences tested elsewhere:
 deleting a zero-rate band changes nothing bit for bit, a one-particle
 system equals a decoupled run against its own delta flow, permuting
 particle ids permutes the output paths, and the first ``n`` rows of a
@@ -63,9 +63,10 @@ import numpy as np
 
 from .coefficients import CoefficientSet
 from .errors import ConfigurationError, DivergenceError, NonConvergenceError
+from .initial import InitialLaw
 from .measures import EmpiricalMeasure, MeasureFlow
 from .noise import LevyModel, _draw_block_events
-from .streams import MAX_PARTICLE, Layer, Rekeyable, StreamContext
+from .streams import MAX_PARTICLE, Layer, StreamBlock, StreamContext
 from .wasserstein import flow_distance
 
 __all__ = [
@@ -146,6 +147,8 @@ class SolverConfig:
             problems.append("divergence_threshold must be > 0")
         if self.gamma is not None and self.gamma < 0:
             problems.append(f"gamma must be >= 0, got {self.gamma}")
+        if self.flow_metric not in ("exact", "sliced"):
+            problems.append(f"flow_metric must be 'exact' or 'sliced', got {self.flow_metric!r}")
         if problems:
             raise ConfigurationError(problems)
 
@@ -359,10 +362,10 @@ def _draw_tape(
     an ``(n, d)`` array of given states, which draws nothing.  A band is
     drawn only when it is live and the coefficients use it.
 
-    The small band is drawn by the block drawer over the uniform grid, the
-    big band over the one-step grid ``[0, T]``; initial draws go through
-    the re-keyed generator, since numpy's ziggurat normals cannot be made
-    from raw outputs.
+    Every layer is drawn for all particles at once from their streams'
+    doubles: the initial law's ``uniforms`` doubles per particle, the
+    small band over the uniform grid and the big band over the one-step
+    grid ``[0, T]``.
     """
     d = coeffs.dim
     if levy.dim != d:
@@ -370,22 +373,20 @@ def _draw_tape(
     ids = list(particle_ids) if particle_ids is not None else list(range(n))
     if len(ids) != n:
         raise ConfigurationError(f"{n} particles but {len(ids)} particle ids")
-    gen = Rekeyable()
-    if callable(initial):
-        x0 = np.empty((n, d))
-        for j, key in enumerate(stream_ctx.keys(ids, Layer.INIT)):
-            x0[j] = initial(gen.at(key))
+    if isinstance(initial, InitialLaw):
+        block = StreamBlock(stream_ctx.keys(ids, Layer.INIT), initial.uniforms)
+        x0 = initial.from_uniforms(block.doubles(np.arange(n), initial.uniforms).T)
     else:
         x0 = np.array(initial, dtype=float).reshape(n, d)
 
     times = grid.times
     small = big = None
     if levy.small is not None and levy.small.rate > 0.0 and coeffs.small_jump is not None:
-        row, step, time, mark = _draw_block_events(stream_ctx.keys(ids, Layer.SMALL), times, levy.small, gen)
+        row, step, time, mark = _draw_block_events(stream_ctx.keys(ids, Layer.SMALL), times, levy.small)
         small = _Events.from_draws(row, step, time, mark, grid.n_steps)
     if levy.big is not None and levy.big.rate > 0.0 and coeffs.big_jump is not None:
         row, _, time, mark = _draw_block_events(
-            stream_ctx.keys(ids, Layer.BIG), np.array([0.0, grid.horizon]), levy.big, gen
+            stream_ctx.keys(ids, Layer.BIG), np.array([0.0, grid.horizon]), levy.big
         )
         # uniform step (t_k, t_{k+1}] holding each arrival
         step = np.searchsorted(times, time, side="left") - 1

@@ -17,11 +17,19 @@ applied to counter ``i // 4 + 1``, and ``random()`` turns one output
 into a double.  :func:`philox_words` computes those outputs for many keys
 at once in numpy, so a :class:`StreamBlock` reads the streams of a whole
 block of particles, one cursor per stream, without building a generator
-per particle.  A draw the block cannot reproduce from raw outputs (numpy's
-ziggurat normals, its PTRS Poisson sampler, a mark law defined only by
-its ``draw``) is handed off to one :class:`Rekeyable` generator, moved to
-the stream's key and cursor and read back afterwards, so every stream
-yields exactly the draws of ``NoiseStream(...).generator()``.
+per particle.
+
+:data:`STREAM_SCHEME` names the map from addresses to draws.  Under
+scheme 2, every draw of a particle or common layer (INIT, SMALL, BIG,
+COMMON_SMALL, COMMON_BIG) is a fixed transform of its stream's
+``random()`` doubles, read in order: normals by Box-Muller
+(:func:`standard_normals`), exponential radii by ``-log1p(-u)``, Poisson
+counts by multiplication below mean 10 and by inversion above, uniform
+arrival times and marks through the samplers' ``from_uniforms``.  So a
+stream read one double at a time from ``NoiseStream(...).generator()``
+yields exactly what the block drawer makes of it.  AUX streams (checker
+trials, projections, Monte Carlo integrals) are still read through
+numpy's generator.
 """
 
 from __future__ import annotations
@@ -41,6 +49,9 @@ _LAYER_BITS = 4
 MAX_EXPERIMENT = (1 << _EXPERIMENT_BITS) - 1
 MAX_REPLICA = (1 << _REPLICA_BITS) - 1
 MAX_PARTICLE = (1 << _PARTICLE_BITS) - 1
+
+# which draw each address yields; bumped whenever that map changes
+STREAM_SCHEME = 2
 
 # Philox4x64-10 constants: round multipliers and key increments
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -206,58 +217,20 @@ def philox_words(keys: np.ndarray, first_block: int, n_blocks: int) -> np.ndarra
     return np.stack([x0, x1, x2, x3], axis=2).reshape(keys.shape[0], 4 * n_blocks)
 
 
-class Rekeyable:
-    """One numpy generator that can be moved to any stream and position.
-
-    Moving it sets the Philox state to ``(key, position)``, which costs a
-    few microseconds where building a new generator costs several times
-    that.  ``half`` is the bit generator's buffered 32-bit half
-    ``(has_uint32, uinteger)``, which ``random()`` never touches but
-    32-bit draws do.
-    """
-
-    def __init__(self):
-        self._bits = np.random.Philox(key=0)
-        self.generator = np.random.Generator(self._bits)
-
-    def at(self, key, position: int = 0, half=(0, 0)) -> np.random.Generator:
-        """The generator as it stands after ``position`` raw outputs of stream ``key``."""
-        self._bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.array([position // 4, 0, 0, 0], dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": half[0],
-            "uinteger": half[1],
-        }
-        if position % 4:
-            # numpy recomputes the current block and skips the outputs already used
-            self._bits.random_raw(position % 4)
-        return self.generator
-
-    def tell(self):
-        """``(position, half)`` of the generator now."""
-        state = self._bits.state
-        position = 4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"]
-        return position, (state["has_uint32"], state["uinteger"])
-
-
 class StreamBlock:
     """The raw outputs of many streams, read through one cursor per stream.
 
     Row ``j`` is the stream keyed by ``keys[j]``.  The first ``words``
     outputs of every stream are computed up front and the buffer grows
     when a cursor runs past it.  :meth:`doubles` reproduces numpy's
-    ``random()``; :meth:`handoff` runs any other draw on ``generator``,
-    moved to the row's cursor, and moves the cursor to where it stopped.
+    ``random()``, the only read a stream of a particle or common layer
+    has.
     """
 
-    def __init__(self, keys: np.ndarray, generator: Rekeyable, words: int = 0):
+    def __init__(self, keys: np.ndarray, words: int = 0):
         self.keys = keys
         self.pos = np.zeros(keys.shape[0], dtype=np.int64)
         self._raw = philox_words(keys, 0, -(-words // 4))
-        self._gen = generator
-        self._halves: dict[int, tuple] = {}
 
     @property
     def size(self) -> int:
@@ -275,10 +248,10 @@ class StreamBlock:
         words = np.take(self._raw, at + (rows * self._raw.shape[1])[:, None])
         return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
-    def handoff(self, row: int, draw):
-        """``draw(generator)`` on stream ``row`` from its cursor; the cursor follows the draw."""
-        out = draw(self._gen.at(self.keys[row], int(self.pos[row]), self._halves.pop(row, (0, 0))))
-        self.pos[row], half = self._gen.tell()
-        if half[0]:
-            self._halves[row] = half
-        return out
+
+def standard_normals(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Box-Muller normals ``sqrt(-2 log(1 - u1)) cos(2 pi u2)``, one per pair of doubles.
+
+    ``log1p(-u1)`` is finite for every double in ``[0, 1)``, 0.0 included.
+    """
+    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)

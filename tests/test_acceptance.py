@@ -32,7 +32,7 @@ from levyfield.solver import (
     resolve_gamma,
     simulate_particle_system,
 )
-from levyfield.streams import EXP_MAIN, Layer, NoiseStream, Rekeyable, StreamContext
+from levyfield.streams import EXP_MAIN, Layer, NoiseStream, StreamContext
 from levyfield.wasserstein import flow_distance, w_p_1d, w_p_exact
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -303,7 +303,7 @@ def test_criterion_09_noise_statistics(capsys):
     )
     reps, lam = 10_000, 2.0
     keys = StreamContext(seed=11, experiment=0, replica=0).keys(np.arange(reps), Layer.BIG)
-    row = _draw_block_events(keys, np.array([0.0, 1.0]), model.big, Rekeyable())[0]
+    row = _draw_block_events(keys, np.array([0.0, 1.0]), model.big)[0]
     counts = np.bincount(row, minlength=reps)
     kmax = int(counts.max())
     observed = np.bincount(counts, minlength=kmax + 1).astype(float)

@@ -13,7 +13,7 @@ from levyfield.assumptions import check_coercivity, check_one_sided_lipschitz
 from levyfield.coefficients import CoefficientSet, build_cubic_interaction, build_linear_meanfield
 from levyfield.errors import ConfigurationError
 
-from conftest import make_levy, small_only_levy
+from levyfield_testkit import make_levy, small_only_levy
 
 
 TRIALS = 4000  # enough to find violations; the acceptance run uses 10^4

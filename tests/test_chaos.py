@@ -24,7 +24,7 @@ from levyfield.noise import no_noise
 from levyfield.solver import SolverConfig, TimeGrid, _draw_tape, _simulate_system, picard_fixed_point
 from levyfield.streams import EXP_REFERENCE, StreamContext
 
-from conftest import make_levy, small_only_levy
+from levyfield_testkit import make_levy, small_only_levy
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from levyfield.errors import ConfigurationError
 from levyfield.measures import EmpiricalMeasure
 from levyfield.noise import nu_expectation
 
-from conftest import make_levy, small_only_levy
+from levyfield_testkit import make_levy, small_only_levy
 
 
 def _cloud(rng, n=32, d=2):

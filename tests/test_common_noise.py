@@ -34,7 +34,7 @@ from levyfield.solver import (
 from levyfield.streams import EXP_MAIN, EXP_REFERENCE, Layer, StreamContext
 from levyfield.wasserstein import flow_distance
 
-from conftest import count_generators, make_levy, small_only_levy
+from levyfield_testkit import count_generators, make_levy, small_only_levy
 
 GRID = TimeGrid.regular(1.0, 0.05)
 CTX = StreamContext(seed=707, experiment=EXP_MAIN, replica=0)

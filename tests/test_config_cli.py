@@ -16,6 +16,7 @@ from levyfield.cli import main
 from levyfield.config import config_digest, load_config, validate_and_build
 from levyfield.errors import ConfigurationError
 from levyfield.runner import conditional_reference, reference_fixed_point, run_experiment
+from levyfield.streams import STREAM_SCHEME
 from levyfield.wasserstein import EXACT_SIZE_CAP
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -97,6 +98,40 @@ def test_shipped_configs_validate(path):
     assert spec.kind == load_config(path)["kind"]
     assert spec.coeffs is not None and spec.grid is not None
     assert re.fullmatch(r"[0-9a-f]{64}", config_digest(spec.raw))
+
+
+def _reduced(cfg):
+    """A shipped config cut down to well under a second: fewer paths, particles and trials."""
+    cfg = copy.deepcopy(cfg)
+    cfg["solver"] = {**(cfg.get("solver") or {}), "paths": 64}
+    exp = cfg.get("experiment") or {}
+    if "n_grid" in exp:
+        exp.update(n_grid=[4, 8, 16], replications=2, reference_paths=32)
+    for key, value in (("n", 32), ("trials", 200)):
+        if key in exp:
+            exp[key] = value
+    return cfg
+
+
+def _result_schema(cfg):
+    kind = cfg["kind"]
+    if kind == "common-noise":
+        kind = "poc" if cfg["experiment"]["task"] == "poc" else "simulate"
+    return {"simulate": "simulate", "picard": "picard", "poc": "rate", "strong-poc": "rate",
+            "moments": "moments", "check-assumptions": "assumptions"}[kind] + "_result.schema.json"
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_every_kind_writes_json_that_validates_against_its_schema(tmp_path, path):
+    cfg = _reduced(load_config(path))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [cfg["kind"], "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert result.exit_code in (0, 1), result.output  # a verdict may fail on a reduced run
+    schemas = {"manifest.json": "manifest.schema.json", "result.json": _result_schema(cfg)}
+    assert sorted(p.name for p in out.glob("*.json")) == sorted(schemas)
+    for name, schema in schemas.items():
+        _assert_valid(_strict_json(out / name), schema)
+    assert _strict_json(out / "manifest.json")["stream_scheme"] == STREAM_SCHEME
 
 
 def test_shipped_configs_cover_every_kind():
@@ -321,6 +356,52 @@ def test_strong_poc_rejects_an_eval_time(tmp_path):
     assert "config error" in result.stderr and "eval_time" in result.stderr
 
 
+def _rejected_by_validation(tmp_path, monkeypatch, cfg, key):
+    """``cfg`` fails validation naming ``key``; the CLI exits 2 before any reference or output."""
+
+    def no_reference(*args, **kwargs):
+        raise AssertionError("a reference was computed for a config that must be rejected")
+
+    monkeypatch.setattr("levyfield.runner.reference_fixed_point", no_reference)
+    monkeypatch.setattr("levyfield.runner.conditional_reference", no_reference)
+    with pytest.raises(ConfigurationError, match=key):
+        validate_and_build(cfg)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [cfg["kind"], "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "config error" in result.stderr and key in result.stderr
+    assert not out.exists()
+
+
+def test_unknown_flow_metric_is_rejected_before_any_reference(tmp_path, monkeypatch):
+    # a rate run's reference computes no flow distance, so the typo would never surface
+    cfg = _rate_cfg("strong-poc", replications=2)
+    cfg["solver"]["flow_metric"] = "bogus"
+    _rejected_by_validation(tmp_path, monkeypatch, cfg, "flow_metric")
+
+
+@pytest.mark.parametrize("paths", [0, 2.5, "64"])
+def test_reference_paths_must_be_a_positive_integer(tmp_path, monkeypatch, paths):
+    # 0 used to run the default reference silently, 2.5 to end in an uncaught TypeError
+    cfg = _rate_cfg("strong-poc", replications=2)
+    cfg["experiment"]["reference_paths"] = paths
+    _rejected_by_validation(tmp_path, monkeypatch, cfg, "reference_paths")
+
+
+@pytest.mark.parametrize("kind", RATE_KINDS)
+def test_slack_must_be_a_nonnegative_number(tmp_path, monkeypatch, kind):
+    cfg = _rate_cfg(kind, replications=2)
+    cfg["experiment"]["slack"] = "x"
+    _rejected_by_validation(tmp_path, monkeypatch, cfg, "slack")
+
+
+def test_unknown_band_key_is_rejected():
+    cfg = _quick_cfg()
+    cfg["noise"]["small"]["rte"] = 3
+    with pytest.raises(ConfigurationError, match="rte"):
+        validate_and_build(cfg)
+
+
 def _picard_cfg(**solver):
     cfg = load_config(CONFIG_DIR / "picard_cubic.yaml")
     cfg["model"]["dim"] = 2
@@ -403,8 +484,10 @@ def test_cli_divergent_run_writes_error_json(tmp_path):
 
 @pytest.mark.parametrize("kind, threshold", [("poc", 3.0), ("strong-poc", 2.5), ("common-noise", 3.0)])
 def test_rate_run_diverging_in_a_replication_writes_error_json(tmp_path, monkeypatch, kind, threshold):
-    # a threshold the 8-particle reference stays under but some replication's 128 particles do not
+    # a threshold the 8-particle reference stays under but some replication's 128 particles do not,
+    # at a seed whose draws cross it for every kind
     cfg = _rate_cfg(kind, replications=2)
+    cfg["seed"] = 7
     cfg["experiment"].update(n_grid=[4, 16, 128], reference_paths=8)
     cfg["solver"]["divergence_threshold"] = threshold
     references = []

@@ -15,20 +15,19 @@ from levyfield.errors import ConfigurationError, IntegrabilityError
 from levyfield.noise import (
     _draw_block_events,
     _draw_block_steps,
-    _draw_poisson_events,
+    _poisson_counts,
     AnnulusUniform,
     FixedMark,
     LevyBand,
     LevyModel,
-    MarkSampler,
     RadialExponential,
     no_noise,
     nu_expectation,
     v_beta_moment,
 )
-from levyfield.streams import Layer, NoiseStream, Rekeyable, StreamBlock, StreamContext
+from levyfield.streams import Layer, NoiseStream, StreamBlock, StreamContext
 
-from conftest import make_levy
+from levyfield_testkit import make_levy
 
 
 def _stream(seed=0, particle=0, layer=Layer.BIG):
@@ -38,35 +37,84 @@ def _stream(seed=0, particle=0, layer=Layer.BIG):
 def _block_events(seed, n, grid_times, band, layer=Layer.BIG):
     """Events of particles ``0..n-1`` of block ``(seed, 0, 0)`` from the block drawer."""
     keys = StreamContext(seed=seed).keys(np.arange(n), layer)
-    return _draw_block_events(keys, np.asarray(grid_times, dtype=float), band, Rekeyable())
+    return _draw_block_events(keys, np.asarray(grid_times, dtype=float), band)
 
 
-def _oracle(stream, grid_times, band):
-    """Per-stream reference: ``_draw_poisson_events`` step by step on the stream's own generator."""
+# ---------------------------------------------------------------------------
+# scalar reference of stream scheme 2
+# ---------------------------------------------------------------------------
+
+
+def _scalar_count(next_u, lam):
+    """Poisson count: multiplication below mean 10, inversion of one double from 10 on."""
+    if lam == 0.0:
+        return 0
+    if lam < 10.0:
+        prod, count = 1.0, 0
+        while True:
+            prod *= next_u()
+            if prod <= math.exp(-lam):
+                return count
+            count += 1
+    u, k, cdf = next_u(), 0, 0.0
+    while True:
+        cdf += math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+        if cdf > u:
+            return k
+        k += 1
+
+
+def _scalar_directions(u, dim):
+    if dim == 1:
+        return np.where(u[0] < 0.5, -1.0, 1.0)[:, None]
+    v = (np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])).T
+    return v / np.sqrt((v * v).sum(axis=1, keepdims=True))
+
+
+def _scalar_marks(sampler, u):
+    """The marks of one step's events from their ``(uniforms, count)`` doubles.
+
+    numpy, not ``math``: numpy's float64 ``log1p``/``cos`` may round
+    differently from the C library's in the last bit.
+    """
+    if isinstance(sampler, FixedMark):
+        return np.tile(sampler.mean, (u.shape[1], 1))
+    d = sampler.dim
+    if isinstance(sampler, AnnulusUniform):
+        radius = (sampler.r_lo**d + u[0] * (sampler.r_hi**d - sampler.r_lo**d)) ** (1.0 / d)
+    else:
+        radius = sampler.r_lo - np.log1p(-u[0]) / sampler.decay
+    return _scalar_directions(u[1:], d) * radius[:, None]
+
+
+def _scalar_events(stream, grid_times, band):
+    """Scheme 2 on one stream, read one ``random()`` double at a time.
+
+    Per step: the count, then its arrival times, then the mark doubles,
+    one block of ``count`` per mark uniform.  Also returns how many
+    doubles were read.
+    """
     gen = stream.generator()
+    reads = 0
+
+    def next_u():
+        nonlocal reads
+        reads += 1
+        return gen.random()
+
     steps, times, marks = [], [], []
     for k in range(grid_times.size - 1):
-        t, z = _draw_poisson_events(gen, float(grid_times[k]), float(grid_times[k + 1]), band)
-        steps.extend([k] * t.size)
-        times.append(t)
-        marks.append(z.reshape(t.size, band.sampler.dim))
-    return np.array(steps, dtype=int), np.concatenate(times), np.concatenate(marks), gen
-
-
-class _Float32Annulus(MarkSampler):
-    """A mark law defined outside the package: 1D annulus marks from 32-bit draws.
-
-    Its 32-bit draws leave half a raw output buffered in the bit generator
-    whenever a draw takes an odd number of them.
-    """
-
-    def __init__(self, r_lo, r_hi):
-        self.dim, self.r_lo, self.r_hi, self.mean = 1, r_lo, r_hi, np.zeros(1)
-
-    def draw(self, gen, size):
-        u = gen.random(size, dtype=np.float32).astype(float)
-        sign = np.where(gen.random(size) < 0.5, -1.0, 1.0)
-        return (sign * (self.r_lo + u * (self.r_hi - self.r_lo)))[:, None]
+        t0, t1 = float(grid_times[k]), float(grid_times[k + 1])
+        count = _scalar_count(next_u, band.rate * (t1 - t0))
+        t = sorted(t0 + (t1 - t0) * next_u() for _ in range(count))
+        for i in range(count):
+            if t[i] == t0 or (i and t[i] <= t[i - 1]):
+                t[i] = math.nextafter(t[i - 1] if i else t0, math.inf)
+        u = np.array([[next_u() for _ in range(count)] for _ in range(band.sampler.uniforms)])
+        steps += [k] * count
+        times += t
+        marks.append(_scalar_marks(band.sampler, u.reshape(band.sampler.uniforms, count)))
+    return np.array(steps, dtype=int), np.array(times), np.concatenate(marks), reads
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +190,7 @@ def test_gap_lengths_and_mark_norms_are_uncorrelated():
 def test_zero_rate_band_yields_no_events():
     band = LevyBand(0.0, AnnulusUniform(1, 1.0, 2.0))
     keys = StreamContext(seed=0).keys(np.arange(4), Layer.BIG)
-    block = StreamBlock(keys, Rekeyable())
+    block = StreamBlock(keys)
     row, step, time, mark = _draw_block_steps(block, np.array([0.0, 10.0]), band)
     assert row.size == step.size == time.size == 0 and mark.shape == (0, 1)
     # like numpy's poisson(0), a zero rate draws nothing from the streams
@@ -171,22 +219,14 @@ def test_small_band_events_stay_inside_their_step():
     assert np.all(np.lexsort((time, row, step)) == np.arange(row.size))
 
 
-def _next_bits(gen):
-    state = gen.bit_generator.state
-    half = state["uinteger"] if state["has_uint32"] else None  # a stale value once the half is used
-    return list(gen.bit_generator.random_raw(5)), half
-
-
 _SAMPLERS = [
-    AnnulusUniform(1, 0.1, 1.0),       # marks from random() doubles, drawn for the whole block
-    FixedMark([0.5]),                  # no draws at all
-    AnnulusUniform(2, 0.1, 1.0),       # normal directions: handed off
-    RadialExponential(3, 0.1, 2.0),    # exponential radii: handed off
-    _Float32Annulus(0.1, 1.0),         # 32-bit draws: handed off, a buffered half carried along
+    *(AnnulusUniform(d, 0.1, 1.0) for d in (1, 2, 3)),          # uniform radius; a sign, or Box-Muller directions
+    *(RadialExponential(d, 0.1, 2.0) for d in (1, 2, 3)),       # exponential radius -log1p(-u) / decay
+    FixedMark([0.5]),                                           # no doubles at all
 ]
 
 
-@pytest.mark.parametrize("rate", [0.5, 30.0, 900.0])  # 900 * 0.02 > 10 takes numpy's other Poisson sampler
+@pytest.mark.parametrize("rate", [0.5, 30.0, 900.0])  # 900 * 0.02 >= 10 takes the inversion
 def test_step_events_equal_drawing_step_by_step(rate, monkeypatch):
     # several chunks of streams, so rows are renumbered across chunks
     monkeypatch.setattr(noise, "_CHUNK_ROWS", 8)
@@ -197,16 +237,46 @@ def test_step_events_equal_drawing_step_by_step(rate, monkeypatch):
         # the uniform grid of the small band, and the one-step grid [0, T] of the big band
         for grid_times in (np.linspace(0.0, 1.0, 51), np.array([0.0, 1.0])):
             keys = ctx.keys(ids, Layer.SMALL)
-            row, step, time, mark = _draw_block_events(keys, grid_times, band, Rekeyable())
-            block = StreamBlock(keys, Rekeyable())
+            row, step, time, mark = _draw_block_events(keys, grid_times, band)
+            block = StreamBlock(keys)
             _draw_block_steps(block, grid_times, band)
             for j in ids:
-                want_step, want_time, want_mark, gen = _oracle(ctx.stream(int(j), Layer.SMALL), grid_times, band)
+                want_step, want_time, want_mark, reads = _scalar_events(ctx.stream(int(j), Layer.SMALL), grid_times, band)
                 assert np.array_equal(step[row == j], want_step)
                 assert np.array_equal(time[row == j], want_time)
                 assert np.array_equal(mark[row == j], want_mark)
-                # the stream's cursor, and any buffered 32-bit half, end where the oracle's generator stands
-                assert block.handoff(int(j), _next_bits) == _next_bits(gen)
+                assert block.pos[j] == reads
+
+
+def _poisson_chi2(counts, lam):
+    """Chi-square statistic of ``counts`` against Poisson(lam), cells merged to >= 5 expected, and its df."""
+    ks = np.arange(int(counts.max()) + 2)
+    expected = stats.poisson.pmf(ks, lam) * counts.size
+    expected[0] += stats.poisson.cdf(-1, lam) * counts.size
+    expected[-1] += stats.poisson.sf(ks[-1], lam) * counts.size
+    observed = np.bincount(counts, minlength=ks.size).astype(float)
+    # merge both tails until every cell expects at least 5
+    lo, hi = 0, ks.size - 1
+    while expected[lo] < 5:
+        expected[lo + 1] += expected[lo]
+        observed[lo + 1] += observed[lo]
+        lo += 1
+    while expected[hi] < 5:
+        expected[hi - 1] += expected[hi]
+        observed[hi - 1] += observed[hi]
+        hi -= 1
+    e, o = expected[lo:hi + 1], observed[lo:hi + 1]
+    return float(((o - e) ** 2 / e).sum()), e.size - 1
+
+
+@pytest.mark.parametrize("lam", [18.0, 1000.0])  # above 745, exp(-lam) underflows
+def test_inverted_poisson_counts_pass_chi_square(lam):
+    block = StreamBlock(StreamContext(seed=21).keys(np.arange(10_000), Layer.BIG))
+    counts = _poisson_counts(block, lam)
+    assert np.all(block.pos == 1)  # one double per count
+    chi2, df = _poisson_chi2(counts, lam)
+    crit = stats.chi2.ppf(0.99, df=df)
+    assert chi2 < crit, f"chi2 {chi2:.2f} >= {crit:.2f} with {df} df"
 
 
 def test_same_stream_reproduces_identical_event_sequences():
@@ -272,15 +342,8 @@ def test_band_and_model_parameter_guards():
     with pytest.raises(ConfigurationError):
         LevyBand(-1.0, AnnulusUniform(1, 1.0, 2.0))
     with pytest.raises(ConfigurationError):
-        LevyBand(1.0, AnnulusUniform(1, 0.1, 1.0), inner_cutoff=0.0)
-    with pytest.raises(ConfigurationError):
         AnnulusUniform(1, 1.0, 1.0)  # empty annulus
     with pytest.raises(ConfigurationError):
         LevyModel(dim=0, split_radius=1.0)
     with pytest.raises(ConfigurationError):
         LevyModel(dim=2, split_radius=1.0, big=LevyBand(1.0, AnnulusUniform(1, 1.0, 2.0)))
-
-
-def test_truncated_band_carries_its_note():
-    band = LevyBand(1.0, AnnulusUniform(1, 0.1, 1.0), inner_cutoff=0.1, truncation_note="drops |z|<=0.1")
-    assert band.truncated and "0.1" in band.truncation_note

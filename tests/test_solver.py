@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from levyfield.chaos import PoCConfig, strong_poc_replication
 from levyfield.coefficients import CoefficientSet, build_cubic_interaction, build_frozen, build_linear_meanfield
@@ -31,7 +32,7 @@ from levyfield.solver import (
 from levyfield.streams import EXP_MAIN, Layer, StreamContext
 from levyfield.wasserstein import flow_distance
 
-from conftest import assert_paths_equal, count_generators, make_levy, quick_config, small_only_levy
+from levyfield_testkit import assert_paths_equal, count_generators, make_levy, quick_config, small_only_levy
 
 
 GRID = TimeGrid.regular(1.0, 0.05)
@@ -452,13 +453,27 @@ def test_coupled_run_on_a_shared_tape_equals_run_drawing_its_own(family):
         simulate_coupled(coeffs, 8, INIT, levy, GRID, CTX, ref.flow, tape=tape.head(8), limit=limit)
 
 
-@pytest.mark.parametrize("initial", [normal_initial(2), uniform_box_initial(2), point_initial([0.5, -1.0])])
+@pytest.mark.parametrize("initial", [normal_initial(2), uniform_box_initial(2), point_initial([0.5, -1.0])],
+                         ids=["draw0", "draw1", "draw2"])
 def test_tape_initial_states_are_each_particles_own_init_draw(initial):
     ids = [4, 0, 9, 1]
     levy = make_levy(dim=2)
     tape = _draw_tape(build_cubic_interaction(levy, dim=2, beta=2.0, c2=1e3), levy, GRID, CTX, initial, 4, ids)
     for j, pid in enumerate(ids):
-        assert np.array_equal(tape.x0[j], initial(CTX.generator(pid, Layer.INIT)))
+        # the law's doubles, read in order from the particle's own INIT generator
+        u = CTX.generator(pid, Layer.INIT).random((initial.uniforms, 1))
+        assert np.array_equal(tape.x0[j], initial.from_uniforms(u)[0])
+
+
+def test_normal_initial_states_pass_ks_against_their_law():
+    mean, std, n = 0.7, 2.0, 10_000
+    levy = no_noise(1)
+    tape = _draw_tape(build_cubic_interaction(levy, dim=1, beta=2.0), levy, GRID, CTX, normal_initial(1, mean, std), n)
+    x = np.sort(tape.x0[:, 0])
+    cdf = stats.norm.cdf(x, loc=mean, scale=std)
+    ks = max(float(np.max(np.arange(1, n + 1) / n - cdf)), float(np.max(cdf - np.arange(0, n) / n)))
+    crit = 1.628 / math.sqrt(n)  # one-sample KS critical value at 0.01
+    assert ks < crit, f"KS {ks:.5f} >= {crit:.5f}"
 
 
 def test_strong_replication_mints_each_stream_once(monkeypatch):

@@ -13,10 +13,10 @@ from levyfield.streams import (
     MAX_REPLICA,
     Layer,
     NoiseStream,
-    Rekeyable,
     StreamBlock,
     StreamContext,
     philox_words,
+    standard_normals,
 )
 
 
@@ -117,28 +117,35 @@ def test_keys_are_the_streams_philox_keys_and_enforce_bounds():
 def test_block_reads_each_stream_as_its_own_generator_would():
     ctx = StreamContext(seed=9, experiment=EXP_REFERENCE, replica=4)
     keys = ctx.keys(range(6), Layer.BIG)
-    block = StreamBlock(keys, Rekeyable(), words=8)
+    block = StreamBlock(keys, words=8)
     rows = np.array([1, 4])
     first = block.doubles(rows, 3)
-    normals = block.handoff(4, lambda g: g.standard_normal(5))
+    middle = block.doubles(rows[1:], 5)  # one cursor moves, the other stays
     later = block.doubles(rows, 40)  # past the buffer: it grows
     for j, row in enumerate(rows):
         gen = ctx.generator(int(row), Layer.BIG)
         assert np.array_equal(first[j], gen.random(3))
         if row == 4:
-            assert np.array_equal(normals, gen.standard_normal(5))
+            assert np.array_equal(middle[0], gen.random(5))
         assert np.array_equal(later[j], gen.random(40))
     assert block.doubles(np.array([0]), 1)[0, 0] == ctx.generator(0, Layer.BIG).random()
 
 
 @pytest.mark.parametrize("position", [0, 1, 3, 4, 9])
-def test_rekeyed_generator_stands_where_a_fresh_one_would(position):
-    key = StreamContext(seed=5).keys([3], Layer.INIT)[0]
-    fresh = np.random.Generator(np.random.Philox(key=key))
+def test_block_cursor_reads_on_where_a_fresh_generator_stands(position):
+    # positions inside and across a four-output Philox block
+    key = StreamContext(seed=5).keys([3], Layer.INIT)
+    fresh = np.random.Generator(np.random.Philox(key=key[0]))
     fresh.bit_generator.random_raw(position)
-    moved = Rekeyable()
-    gen = moved.at(key, position)
-    assert moved.tell() == (position, (0, 0))
-    assert np.array_equal(gen.standard_normal(7), fresh.standard_normal(7))
-    assert moved.tell()[0] == 4 * (int(fresh.bit_generator.state["state"]["counter"][0]) - 1) + \
-        fresh.bit_generator.state["buffer_pos"]
+    block = StreamBlock(key)
+    block.doubles(np.array([0]), position)
+    assert block.pos[0] == position
+    assert np.array_equal(block.doubles(np.array([0]), 7)[0], fresh.random(7))
+
+
+def test_box_muller_normals_are_finite_at_every_double():
+    # random() yields k / 2**53 for k in [0, 2**53): both ends included
+    edges = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+    z = standard_normals(edges[:, None], edges[None, :])
+    assert np.all(np.isfinite(z)) and np.all(z[0] == 0.0)
+    assert np.abs(z).max() < 8.6  # sqrt(-2 log 2**-53)
