@@ -28,14 +28,11 @@ from .coefficients import (
 )
 from .common_noise import (
     CommonRealization,
-    CommonSimResult,
     ConditionalPicardResult,
     TwoLayerNoise,
-    conditional_distance,
     conditional_picard,
     run_conditional_poc,
     sample_common_realization,
-    simulate_common_system,
 )
 from .errors import ConfigurationError, DivergenceError, IntegrabilityError, NonConvergenceError
 from .initial import INITIAL_SAMPLERS, InitialLaw, normal_initial, point_initial, uniform_box_initial
@@ -50,7 +47,6 @@ from .noise import (
     RadialExponential,
     no_noise,
     nu_expectation,
-    v_beta_moment,
 )
 from .solver import (
     CoupledResult,
@@ -64,6 +60,6 @@ from .solver import (
     simulate_particle_system,
 )
 from .streams import Layer, NoiseStream, StreamContext
-from .wasserstein import TransportPlan, flow_distance, w_p_1d, w_p_exact, w_p_sliced
+from .wasserstein import conditional_distance, flow_distance, w_p_1d, w_p_exact, w_p_sliced
 
 __version__ = "0.1.0"

@@ -229,16 +229,23 @@ def _w_pp(a: np.ndarray, b: np.ndarray, p: float) -> float:
     return w_p_exact(a, b, p) ** p
 
 
-def _reference_tape(coeffs, levy, grid, initial_sampler, poc_cfg, seed):
-    """Tape of the reserved reference block: ``poc_cfg.reference_paths`` particles.
+def _reference_flows(coeffs, levy, grid, initial_sampler, solver_cfg, poc_cfg, seed, commons) -> list:
+    """Flows of the interacting system on the reserved reference block, one per entry of ``commons``.
 
-    The default is four times the largest particle count, so the
-    reference's own sampling error decays at least as fast as the
-    statistic it calibrates.
+    The block's tape holds ``poc_cfg.reference_paths`` particles, by
+    default four times the largest particle count, so the reference's own
+    sampling error decays at least as fast as the statistic it
+    calibrates.  It is drawn once; every run reads it, inside its entry's
+    common realization (None: no common layer).
     """
     m_ref = poc_cfg.reference_paths or 4 * max(poc_cfg.n_grid)
     ctx = StreamContext(seed=seed, experiment=EXP_REFERENCE, replica=0)
-    return _draw_tape(coeffs, levy, grid, ctx, initial_sampler, m_ref)
+    tape = _draw_tape(coeffs, levy, grid, ctx, initial_sampler, m_ref)
+    return [
+        _simulate_system(coeffs, levy, grid, tape, solver_cfg, interacting=True, common=common,
+                         collect_clouds=True).flow
+        for common in commons
+    ]
 
 
 def reference_fixed_point(coeffs, initial_sampler, levy, grid, solver_cfg, poc_cfg, seed) -> PicardResult:
@@ -247,11 +254,10 @@ def reference_fixed_point(coeffs, initial_sampler, levy, grid, solver_cfg, poc_c
     That run is the common-random-numbers Picard fixed point on these
     streams, bit for bit at every grid time (see :mod:`levyfield.solver`),
     returned as a one-pass :class:`PicardResult` with an empty trace;
-    ``gamma``, ``tol``, ``max_iter`` and ``crn`` play no part.
+    ``gamma``, ``tol`` and ``max_iter`` play no part.
     """
-    tape = _reference_tape(coeffs, levy, grid, initial_sampler, poc_cfg, seed)
-    run = _simulate_system(coeffs, levy, grid, tape, solver_cfg, interacting=True, collect_clouds=True)
-    return PicardResult(flow=run.flow, trace=[], iterations=1, initial_cloud=run.flow.clouds[0])
+    [flow] = _reference_flows(coeffs, levy, grid, initial_sampler, solver_cfg, poc_cfg, seed, [None])
+    return PicardResult(flow=flow, trace=[], iterations=1, initial_cloud=flow.clouds[0])
 
 
 def weak_poc_replication(
@@ -281,57 +287,42 @@ def _coupling_replication(
 ) -> dict[int, tuple[float, float]]:
     """Map n -> :func:`coupling_terms` along the n-grid, every run inside ``common`` (or none).
 
-    The main and fresh tapes are drawn once for the largest particle
-    count, and the limit and fresh copies run once on them; every count
-    reads the prefixes of both.
+    The tapes of the replica's main and fresh-copy blocks are drawn once
+    for the largest particle count, and the limit copies against
+    ``reference_flow`` run once on each: the coupled copies on the main
+    tape, the fresh copies on the fresh one.  Every count reads the
+    prefixes of both.
     """
     t_idx = _eval_index(grid, poc_cfg.eval_time)
-    tapes = _replication_tapes(coeffs, levy, grid, initial_sampler, max(poc_cfg.n_grid), seed, replica)
-    copies = _limit_copies(coeffs, levy, grid, tapes, solver_cfg, reference_flow, common)
+    tapes = [
+        _draw_tape(coeffs, levy, grid, StreamContext(seed=seed, experiment=block, replica=replica),
+                   initial_sampler, max(poc_cfg.n_grid))
+        for block in (EXP_MAIN, EXP_FRESH_COPIES)
+    ]
+    copies = [
+        _simulate_system(coeffs, levy, grid, tape, solver_cfg, flow=reference_flow, collect_states=True, common=common)
+        for tape in tapes
+    ]
     return {
-        n: coupling_terms(
-            coeffs, levy, grid, initial_sampler, n, seed, replica, reference_flow, solver_cfg, poc_cfg.p, t_idx,
-            common=common, tapes=[tape.head(n) for tape in tapes], copies=[run.head(n) for run in copies],
-        )
+        n: coupling_terms(coeffs, levy, grid, n, solver_cfg, poc_cfg.p, t_idx, tapes[0], copies, common=common)
         for n in poc_cfg.n_grid
     }
 
 
-def _replication_tapes(coeffs, levy, grid, initial_sampler, n, seed, replica):
-    """Event tapes of a replica's main and fresh-copy stream blocks, ``n`` particles each."""
-    return [
-        _draw_tape(coeffs, levy, grid, StreamContext(seed=seed, experiment=block, replica=replica),
-                   initial_sampler, n)
-        for block in (EXP_MAIN, EXP_FRESH_COPIES)
-    ]
+def coupling_terms(coeffs, levy, grid, n, solver_cfg, p, t_idx, tape, copies, common=None):
+    """One (coupling, iid) pair of ``W_p^p`` terms at grid index ``t_idx`` for ``n`` particles.
 
-
-def _limit_copies(coeffs, levy, grid, tapes, solver_cfg, reference_flow, common):
-    """Decoupled runs against ``reference_flow`` on the (main, fresh) tapes: coupled and fresh copies."""
-    return [
-        _simulate_system(coeffs, levy, grid, tape, solver_cfg, flow=reference_flow, collect_states=True, common=common)
-        for tape in tapes
-    ]
-
-
-def coupling_terms(coeffs, levy, grid, initial_sampler, n, seed, replica, reference_flow, solver_cfg, p, t_idx,
-                   common=None, tapes=None, copies=None):
-    """One (coupling, iid) pair of ``W_p^p`` terms at grid index ``t_idx``.
-
-    Interacting cloud and coupled limit copies share the tape of the main
-    streams of ``replica``; the fresh copies read the tape of the reserved
-    fresh block.  ``tapes`` passes both in (main, fresh), already cut to
-    ``n`` particles; they are drawn here otherwise.  ``copies`` passes in
-    the coupled and fresh copies, ``n`` rows each, already run on those
-    tapes; they are run here otherwise.  With ``common`` set, all three
-    runs share that one realization, so the comparison stays inside a
-    single common path.
+    The interacting cloud runs on the first ``n`` particles of ``tape``,
+    the replica's main tape; ``copies`` holds the coupled limit copies
+    (run on that tape) and the fresh ones, each cut here to their first
+    ``n`` rows.  With ``common`` set, the interacting run shares that one
+    realization with the copies, so the comparison stays inside a single
+    common path.
     """
-    tapes = tapes or _replication_tapes(coeffs, levy, grid, initial_sampler, n, seed, replica)
     inter = _simulate_system(
-        coeffs, levy, grid, tapes[0], solver_cfg, interacting=True, collect_states=True, common=common,
+        coeffs, levy, grid, tape.head(n), solver_cfg, interacting=True, collect_states=True, common=common,
     )
-    limit, fresh = copies or _limit_copies(coeffs, levy, grid, tapes, solver_cfg, reference_flow, common)
+    limit, fresh = (run.head(n) for run in copies)
     coupling = _w_pp(inter.states[t_idx], limit.states[t_idx], p)
     iid = _w_pp(limit.states[t_idx], fresh.states[t_idx], p)
     return coupling, iid

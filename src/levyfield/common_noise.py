@@ -8,47 +8,40 @@ broken idiosyncratic-first).  Conditioning on the common event history
 turns the limit law into a random measure; its surrogate here is nested
 Monte Carlo: k outer common paths, each carrying an m-particle cloud.
 
-Degeneracy is structural: a zero-rate common layer leaves the engine on
-the exact code path of the single-layer system, so the reductions to
-``simulate_particle_system``, ``picard_fixed_point`` and the weak chaos
-replication are bit-identical, not merely close.  The conditional chaos
-experiment reuses the weak one's replication and aggregation
-(``chaos.rate_report``) with one common path per replication.
+The common layer is an argument, not a second simulator: one
+:class:`CommonRealization` (or None) goes to the same drivers the
+single-layer model uses -- ``simulate_particle_system``, the Picard
+loop behind ``picard_fixed_point`` and :func:`conditional_picard`, the
+reference builder behind ``reference_fixed_point`` and
+:func:`conditional_reference`, and the weak chaos replication.  The
+reductions are therefore structural: an event-free common layer leaves
+every one of them on the exact code path of the single-layer model, bit
+for bit.  The conditional chaos experiment reuses the weak one's
+replication and aggregation (``chaos.rate_report``) with one common
+path per replication.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .chaos import PoCConfig, RateReport, _coupling_replication, _reference_tape, phi_rate, rate_report
+from .chaos import PoCConfig, RateReport, _coupling_replication, _reference_flows, phi_rate, rate_report
 from .coefficients import CoefficientSet
-from .errors import ConfigurationError, NonConvergenceError
+from .errors import ConfigurationError
 from .initial import InitialLaw
 from .measures import EmpiricalMeasure, MeasureFlow
 from .noise import LevyModel, _draw_block_events, no_noise
-from .solver import (
-    SimResult,
-    SolverConfig,
-    TimeGrid,
-    _draw_tape,
-    _simulate_system,
-    resolve_gamma,
-)
+from .solver import SolverConfig, TimeGrid, _picard_flows, resolve_gamma
 from .streams import EXP_MAIN, Layer, StreamContext
-from .wasserstein import _w_auto
 
 __all__ = [
     "TwoLayerNoise",
     "CommonRealization",
     "sample_common_realization",
-    "CommonSimResult",
-    "simulate_common_system",
     "ConditionalPicardResult",
-    "conditional_distance",
     "conditional_picard",
     "conditional_reference",
     "conditional_poc_replication",
@@ -137,95 +130,6 @@ def sample_common_realization(
 
 
 @dataclass
-class CommonSimResult:
-    """Particle-system output plus the single shared-event log."""
-
-    sim: SimResult
-    realization: CommonRealization
-
-    @property
-    def flow(self) -> Optional[MeasureFlow]:
-        return self.sim.flow
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.sim.final
-
-
-def simulate_common_system(
-    coeffs: CoefficientSet,
-    n: int,
-    initial_sampler: InitialLaw,
-    noise: TwoLayerNoise,
-    grid: TimeGrid,
-    stream_ctx: StreamContext,
-    config: Optional[SolverConfig] = None,
-    *,
-    realization: Optional[CommonRealization] = None,
-    particle_ids: Optional[Sequence[int]] = None,
-    record_paths: bool = False,
-    collect_clouds: bool = True,
-    observer=None,
-) -> CommonSimResult:
-    """Interacting system with every particle fed the same common events.
-
-    The realization is sampled from the context's common streams unless
-    one is passed in (pass one to drive several systems by the same
-    conditioning path).  Common jumps show up in the per-particle jump
-    logs with band tag ``V0``; simultaneous idiosyncratic and common
-    events apply idiosyncratic-first.
-    """
-    config = config or SolverConfig()
-    if realization is None:
-        realization = sample_common_realization(noise.common, stream_ctx, grid.horizon)
-    tape = _draw_tape(coeffs, noise.idio, grid, stream_ctx, initial_sampler, n, particle_ids)
-    sim = _simulate_system(
-        coeffs, noise.idio, grid, tape, config, interacting=True, common=realization,
-        record_paths=record_paths, collect_clouds=collect_clouds, observer=observer,
-    )
-    return CommonSimResult(sim=sim, realization=realization)
-
-
-def conditional_distance(
-    new_flows: Sequence[MeasureFlow],
-    old_flows: Sequence[MeasureFlow],
-    beta: float,
-    eta: float,
-    *,
-    metric: str = "exact",
-) -> float:
-    """Discounted sup of the across-path power mean of flow distances.
-
-    ``sup_t e^(-eta t) (mean_j W_beta^beta(new_j_t, old_j_t))^(1/beta)``
-    over the common grid.  The power mean of equal values is returned
-    exactly (no round trip through the beta-th power), so a family of
-    identical paths reduces bit-exactly to the single-flow distance.
-    """
-    if len(new_flows) != len(old_flows) or not new_flows:
-        raise ConfigurationError("need equally many (>=1) new and old flows")
-    if eta < 0:
-        raise ConfigurationError(f"eta must be >= 0, got {eta}")
-    times = new_flows[0].times
-    profiles = []
-    for new, old in zip(new_flows, old_flows):
-        if not (np.array_equal(new.times, times) and np.array_equal(old.times, times)):
-            raise ConfigurationError("flow grids differ; distances need a common grid")
-        profiles.append([_w_auto(a, b, beta, metric, None) for a, b in zip(new.clouds, old.clouds)])
-    k = len(profiles)
-    best = 0.0
-    for idx, t in enumerate(times):
-        vals = [pr[idx] for pr in profiles]
-        if k == 1 or all(v == vals[0] for v in vals):
-            avg = vals[0]
-        else:
-            avg = (math.fsum(v**beta for v in vals) / k) ** (1.0 / beta)
-        val = math.exp(-eta * t) * avg
-        if val > best:
-            best = val
-    return best
-
-
-@dataclass
 class ConditionalPicardResult:
     """Fixed point of the conditional law map: one flow per common path."""
 
@@ -252,14 +156,16 @@ def conditional_picard(
     """Iterate the conditional law map over k frozen common paths at once.
 
     Pass ``realizations`` to pin the common paths, or ``k`` to sample
-    that many from replica offsets of ``stream_ctx``.  All paths share
-    one block of inner streams (initial draws and idiosyncratic noise),
-    read from one event tape (one per pass without ``config.crn``),
-    which is common-random-numbers across paths: cross-path spread then
-    isolates the common layer's effect, and an event-free common layer
-    collapses every path onto the single-layer fixed point bit-exactly.
-    Stops when the across-path distance drops below ``config.tol``;
-    raises :class:`NonConvergenceError` with the trace otherwise.
+    that many from replica offsets of ``stream_ctx``.  This is the
+    fixed-point loop of :func:`~levyfield.solver.picard_fixed_point`
+    with one flow per path: all paths read one event tape of inner
+    streams (initial draws and idiosyncratic noise), common random
+    numbers across passes and paths, so cross-path spread isolates the
+    common layer's effect, and an event-free common layer collapses
+    every path onto the single-layer fixed point bit-exactly.  Stops
+    when the across-path distance drops below ``config.tol``; raises
+    :class:`~levyfield.errors.NonConvergenceError` with the trace
+    otherwise.
     """
     if realizations is None:
         if k is None:
@@ -274,46 +180,22 @@ def conditional_picard(
     k = len(realizations)
     if k < 1:
         raise ConfigurationError("need at least one common path")
-    m = config.paths
-    if m < 2:
-        raise ConfigurationError(f"conditional clouds need >= 2 member particles, got {m}")
+    if config.paths < 2:
+        raise ConfigurationError(f"conditional clouds need >= 2 member particles, got {config.paths}")
     eta_val = float(eta) if eta is not None else resolve_gamma(config, coeffs)
     if initial_flows is not None:
-        flows = list(initial_flows)
-        if len(flows) != k:
-            raise ConfigurationError(f"{k} common paths but {len(flows)} starting flows")
-        for fl in flows:
+        initial_flows = list(initial_flows)
+        if len(initial_flows) != k:
+            raise ConfigurationError(f"{k} common paths but {len(initial_flows)} starting flows")
+        for fl in initial_flows:
             if not np.array_equal(fl.times, grid.times):
                 raise ConfigurationError("initial flow grid must match the solver grid")
-    tape = _draw_tape(coeffs, noise.idio, grid, stream_ctx, initial_sampler, m)
-    initial_cloud = EmpiricalMeasure(tape.x0)
-    if initial_flows is None:
-        flows = [MeasureFlow.constant(grid.times, initial_cloud) for _ in range(k)]
-
-    trace: list[float] = []
-    for it in range(config.max_iter):
-        if it and not config.crn:
-            ctx_it = stream_ctx.with_(replica=stream_ctx.replica + it)
-            tape = _draw_tape(coeffs, noise.idio, grid, ctx_it, initial_cloud.points, m)
-        new_flows = [
-            _simulate_system(
-                coeffs, noise.idio, grid, tape, config,
-                flow=flows[j], common=realizations[j], collect_clouds=True,
-            ).flow
-            for j in range(k)
-        ]
-        dist = conditional_distance(new_flows, flows, coeffs.beta, eta_val, metric=config.flow_metric)
-        trace.append(dist)
-        flows = new_flows
-        if dist < config.tol:
-            return ConditionalPicardResult(
-                flows=flows,
-                realizations=realizations,
-                trace=trace,
-                iterations=it + 1,
-                initial_cloud=initial_cloud,
-            )
-    raise NonConvergenceError(trace, config.tol)
+    flows, trace, initial_cloud = _picard_flows(
+        coeffs, initial_sampler, noise.idio, grid, config, stream_ctx, realizations, eta_val, initial_flows
+    )
+    return ConditionalPicardResult(
+        flows=flows, realizations=realizations, trace=trace, iterations=len(trace), initial_cloud=initial_cloud,
+    )
 
 
 def conditional_reference(
@@ -331,9 +213,10 @@ def conditional_reference(
     replication that measures path j later reuses exactly this
     realization.  Its flow is the interacting system inside that
     realization on the one tape of the reserved reference block that all
-    paths share: the common-random-numbers fixed point of
-    :func:`conditional_picard`, bit for bit, so a silent common layer
-    gives the plain reference.  One pass, empty trace.
+    paths share (:func:`~levyfield.chaos.reference_fixed_point`'s tape):
+    the common-random-numbers fixed point of :func:`conditional_picard`,
+    bit for bit, so a silent common layer gives the plain reference.
+    One pass, empty trace.
     """
     realizations = [
         sample_common_realization(
@@ -341,13 +224,7 @@ def conditional_reference(
         )
         for j in range(poc_cfg.replications)
     ]
-    tape = _reference_tape(coeffs, noise.idio, grid, initial_sampler, poc_cfg, seed)
-    flows = [
-        _simulate_system(
-            coeffs, noise.idio, grid, tape, solver_cfg, interacting=True, common=realization, collect_clouds=True,
-        ).flow
-        for realization in realizations
-    ]
+    flows = _reference_flows(coeffs, noise.idio, grid, initial_sampler, solver_cfg, poc_cfg, seed, realizations)
     return ConditionalPicardResult(
         flows=flows, realizations=realizations, trace=[], iterations=1, initial_cloud=flows[0].clouds[0],
     )

@@ -55,6 +55,16 @@ KINDS = (
     "check-assumptions",
 )
 
+# keys of the top level and of the fixed-shape blocks; anything else is a typo
+_TOP_KEYS = {"version", "kind", "seed", "model", "noise", "common_noise", "initial", "grid", "solver", "experiment"}
+_MODEL_KEYS = {"dim", "beta", "family", "params"}
+_NOISE_KEYS = {"split_radius", "small", "big"}
+_INITIAL_KEYS = {"kind", "params"}
+_GRID_KEYS = {"horizon", "step"}
+_BAND_KEYS = {"rate", "sampler", "params"}
+# kinds that read a common_noise block
+_COMMON_KINDS = ("common-noise", "check-assumptions")
+
 # experiment-block keys each kind accepts (None = no experiment block needed);
 # strong-poc has no eval_time, its statistic is a supremum over the horizon
 _EXPERIMENT_KEYS = {
@@ -105,6 +115,15 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _check_keys(block: dict, allowed: set, where: str, problems: list) -> bool:
+    """Name every key of ``block`` outside ``allowed`` by its key path; True when there is none."""
+    unknown = sorted(str(key) for key in set(block) - allowed)
+    if unknown:
+        paths = [f"{where}.{key}" if where else key for key in unknown]
+        problems.append(f"unknown keys {paths}; {where or 'the top level'} takes {sorted(allowed)}")
+    return not unknown
+
+
 def _build_sampler(block: dict, dim: int, where: str, problems: list):
     name = block.get("sampler")
     if name not in MARK_SAMPLERS:
@@ -123,9 +142,7 @@ def _build_band(block, dim: int, where: str, problems: list) -> Optional[LevyBan
     if not isinstance(block, dict):
         problems.append(f"{where} must be a mapping or null")
         return None
-    unknown = set(block) - {"rate", "sampler", "params"}
-    if unknown:
-        problems.append(f"{where}: unknown band keys {sorted(unknown)}; a band has rate, sampler and params")
+    if not _check_keys(block, _BAND_KEYS, where, problems):
         return None
     if "rate" not in block:
         problems.append(f"{where}: band needs a rate")
@@ -144,6 +161,7 @@ def _build_levy(block, dim: int, where: str, problems: list) -> Optional[LevyMod
     if not isinstance(block, dict):
         problems.append(f"{where} block must be a mapping")
         return None
+    _check_keys(block, _NOISE_KEYS, where, problems)
     small = _build_band(block.get("small"), dim, f"{where}.small", problems)
     big = _build_band(block.get("big"), dim, f"{where}.big", problems)
     try:
@@ -152,7 +170,6 @@ def _build_levy(block, dim: int, where: str, problems: list) -> Optional[LevyMod
             split_radius=float(block.get("split_radius", 1.0)),
             small=small,
             big=big,
-            beta_moment_v=block.get("beta_moment_v"),
         )
     except ConfigurationError as exc:
         problems.append(f"{where}: {exc}")
@@ -166,6 +183,7 @@ def validate_and_build(cfg: dict) -> ExperimentSpec:
     everything wrong with a file.
     """
     problems: list[str] = []
+    _check_keys(cfg, _TOP_KEYS, "", problems)
 
     version = cfg.get("version")
     if version != CONFIG_VERSION:
@@ -183,6 +201,7 @@ def validate_and_build(cfg: dict) -> ExperimentSpec:
     if not isinstance(model, dict):
         problems.append("model block is required (dim, beta, family, params)")
     else:
+        _check_keys(model, _MODEL_KEYS, "model", problems)
         dim = model.get("dim", 1)
         beta = model.get("beta", 2.0)
         if not isinstance(dim, int) or dim < 1:
@@ -201,6 +220,8 @@ def validate_and_build(cfg: dict) -> ExperimentSpec:
 
     common = None
     if cfg.get("common_noise") is not None:
+        if kind in KINDS and kind not in _COMMON_KINDS:
+            problems.append(f"common_noise is not read by kind {kind!r}; only {list(_COMMON_KINDS)} take it")
         common = _build_levy(cfg.get("common_noise"), dim, "common_noise", problems)
 
     if isinstance(model, dict) and levy is not None:
@@ -220,6 +241,7 @@ def validate_and_build(cfg: dict) -> ExperimentSpec:
             f"initial.kind must be one of {sorted(INITIAL_SAMPLERS)}, got {init_block!r}"
         )
     else:
+        _check_keys(init_block, _INITIAL_KEYS, "initial", problems)
         try:
             initial = INITIAL_SAMPLERS[init_block["kind"]](dim, **(init_block.get("params") or {}))
         except (ConfigurationError, TypeError) as exc:
@@ -230,6 +252,7 @@ def validate_and_build(cfg: dict) -> ExperimentSpec:
     if not isinstance(grid_block, dict) or "horizon" not in grid_block or "step" not in grid_block:
         problems.append("grid block with horizon and step is required")
     else:
+        _check_keys(grid_block, _GRID_KEYS, "grid", problems)
         try:
             grid = TimeGrid.regular(float(grid_block["horizon"]), float(grid_block["step"]))
         except (ConfigurationError, TypeError, ValueError) as exc:

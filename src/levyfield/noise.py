@@ -19,9 +19,8 @@ events of a whole block of streams are drawn at once
 
 Well-posedness of the dynamics requires, for the integrability exponent
 ``beta`` in ``[1, 2]``, that ``nu(|z|^2 ; U)`` and ``nu(1 v |z|^beta ; V)``
-are finite; :func:`v_beta_moment` and :func:`nu_expectation` evaluate such
-integrals, exactly when the sampler admits a closed form and by plain
-Monte Carlo otherwise.
+are finite; :func:`nu_expectation` evaluates such integrals, exactly when
+the sampler admits a closed form and by plain Monte Carlo otherwise.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "LevyModel",
     "NuEstimate",
     "nu_expectation",
-    "v_beta_moment",
 ]
 
 
@@ -246,15 +244,12 @@ class LevyModel:
     Either band may be absent (None), meaning zero intensity there.  Band
     supports must respect the split: small marks in ``(0, split_radius]``,
     big marks in ``(split_radius, inf)``, and neither contains the origin.
-    ``beta_moment_v`` optionally declares ``nu(1 v |z|^beta ; V)`` when the
-    caller has it in closed form; see :func:`v_beta_moment`.
     """
 
     dim: int
     split_radius: float
     small: Optional[LevyBand] = None
     big: Optional[LevyBand] = None
-    beta_moment_v: Optional[float] = None
 
     def __post_init__(self):
         problems = []
@@ -490,29 +485,3 @@ def nu_expectation(
         raise IntegrabilityError(f"nu-integral over band {band} is non-finite")
     se = float(b.rate * vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
     return NuEstimate(value, se)
-
-
-def v_beta_moment(model: LevyModel, beta: float, *, samples: int = 200_000) -> float:
-    """``nu(1 v |z|^beta ; V)``, the big-band integrability functional.
-
-    Uses the declared ``model.beta_moment_v`` when present, a sampler
-    closed form when the big band lies outside the unit ball (there
-    ``1 v |z|^beta = |z|^beta``), and pinned-stream Monte Carlo otherwise.
-    """
-    if not 1.0 <= beta <= 2.0:
-        raise ConfigurationError(f"beta must lie in [1, 2], got {beta}")
-    if model.beta_moment_v is not None:
-        if not math.isfinite(model.beta_moment_v):
-            raise IntegrabilityError("declared big-band beta moment is non-finite")
-        return float(model.beta_moment_v)
-    if model.big is None or model.big.rate == 0.0:
-        return 0.0
-    s = model.big.sampler
-    if s.r_lo >= 1.0:
-        closed = s.abs_moment(beta)
-        if closed is not None:
-            return model.big.rate * float(closed)
-    est = nu_expectation(
-        model, "V", lambda z: np.maximum(1.0, np.sqrt((z * z).sum(axis=1)) ** beta), samples=samples
-    )
-    return est.value

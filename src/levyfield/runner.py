@@ -45,7 +45,7 @@ from .common_noise import (
     conditional_poc_replication,
     conditional_reference,
     run_conditional_poc,
-    simulate_common_system,
+    sample_common_realization,
 )
 from .config import ExperimentSpec, RunManifest, validate_and_build
 from .errors import ConfigurationError, DivergenceError, IntegrabilityError, NonConvergenceError
@@ -283,16 +283,17 @@ def _run_common(spec: ExperimentSpec, out: Path, jobs: int):
         return _run_rate(spec, out, jobs)
     n = spec.experiment["n"]
     rows = []
-    res = simulate_common_system(
-        spec.coeffs, n, spec.initial, spec.two_layer, spec.grid,
-        StreamContext(seed=spec.seed, experiment=EXP_MAIN, replica=0), spec.solver,
+    ctx = StreamContext(seed=spec.seed, experiment=EXP_MAIN, replica=0)
+    real = sample_common_realization(spec.two_layer.common, ctx, spec.grid.horizon)
+    res = simulate_particle_system(
+        spec.coeffs, n, spec.initial, spec.levy, spec.grid, ctx, spec.solver,
+        common=real,
         record_paths=bool(spec.experiment.get("record_paths", False)),
         collect_clouds=False,
         observer=_timeseries_observer(spec.coeffs.beta, rows),
     )
     _write_csv(out / "timeseries.csv", _ts_header(spec.coeffs.dim),
                [[_f(v) for v in row] for row in rows])
-    real = res.realization
     ev_rows = [["U0", _f(t)] + [_f(v) for v in m] for t, m in zip(real.u_times, real.u_marks)]
     ev_rows += [["V0", _f(t)] + [_f(v) for v in m] for t, m in zip(real.v_times, real.v_marks)]
     ev_rows.sort(key=lambda r: float(r[1]))

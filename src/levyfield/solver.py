@@ -20,14 +20,21 @@ Measure sources are the only difference between the drivers: a decoupled
 path reads a fixed :class:`~levyfield.measures.MeasureFlow`, the
 interacting system re-forms the cloud of current states at every uniform
 grid time (snapshot semantics: all particles read the same cloud no
-matter how the work is scheduled), and the fixed-point driver alternates
-the two, re-simulating the same noise against the previous iterate's
-flow until the discounted flow distance stalls below tolerance.  With
-common random numbers, pass i of that iteration is exact at grid times
+matter how the work is scheduled), and the fixed-point loop alternates
+the two, re-simulating one event tape (common random numbers) against
+the previous iterate's flow until the discounted flow distance stalls
+below tolerance.  Pass i of that loop is exact at grid times
 ``t_0..t_i``, so its fixed point on a tape is the interacting system on
 the same tape, bit for bit.  A rate run's reference is therefore that
-one interacting run on the reserved reference streams; the iteration
-serves the ``picard`` experiment, which measures the contraction.
+one interacting run on the reserved reference streams; the loop serves
+the ``picard`` experiment, which measures the contraction.
+
+The common layer is an argument of the engine and its drivers, not a
+driver of its own: a :class:`~levyfield.common_noise.CommonRealization`
+(None for none) feeds its events to every particle, and the fixed-point
+loop iterates one flow per realization on the one shared tape.  An
+event-free realization leaves the engine on the single-layer code path,
+so the reductions to the single-layer model are structural, bit for bit.
 
 Randomness discipline: each particle owns one stream per noise layer
 (initial draw, small band, big band), addressed by particle id.  The
@@ -67,7 +74,7 @@ from .initial import InitialLaw
 from .measures import EmpiricalMeasure, MeasureFlow
 from .noise import LevyModel, _draw_block_events
 from .streams import MAX_PARTICLE, Layer, StreamBlock, StreamContext
-from .wasserstein import flow_distance
+from .wasserstein import conditional_distance
 
 __all__ = [
     "TimeGrid",
@@ -121,16 +128,13 @@ class SolverConfig:
 
     ``paths`` is the cloud size of fixed-point iterates, ``gamma`` the
     flow-distance discount (``None`` resolves to ten times the declared
-    one-sided constant), ``crn`` re-uses the same noise streams across
-    fixed-point iterations so the contraction factor is visible instead
-    of drowned in resampling noise.
+    one-sided constant).
     """
 
     paths: int = 1000
     gamma: Optional[float] = None
     tol: float = 1e-3
     max_iter: int = 20
-    crn: bool = True
     divergence_threshold: float = 1e12
     compensator_samples: int = 2048
     flow_metric: str = "exact"
@@ -649,6 +653,36 @@ class PicardResult:
     initial_cloud: EmpiricalMeasure
 
 
+def _picard_flows(coeffs, initial, levy, grid, config, ctx, commons, gamma, flows=None):
+    """Iterate the law map on one flow per entry of ``commons`` until it stalls.
+
+    Every flow is re-simulated, decoupled and inside its entry's common
+    realization (None: no common layer), from one event tape of
+    ``config.paths`` particles drawn once from ``ctx``: common random
+    numbers across passes and across entries.  The starting flows are
+    the constant-in-time initial cloud unless ``flows`` gives them.
+    Stops when :func:`~levyfield.wasserstein.conditional_distance`
+    drops below ``config.tol`` and returns ``(flows, trace,
+    initial_cloud)``; raises :class:`NonConvergenceError` with the trace
+    when the budget runs out.
+    """
+    tape = _draw_tape(coeffs, levy, grid, ctx, initial, config.paths)
+    initial_cloud = EmpiricalMeasure(tape.x0)
+    if flows is None:
+        flows = [MeasureFlow.constant(grid.times, initial_cloud) for _ in commons]
+    trace: list[float] = []
+    for _ in range(config.max_iter):
+        new_flows = [
+            _simulate_system(coeffs, levy, grid, tape, config, flow=flow, common=common, collect_clouds=True).flow
+            for flow, common in zip(flows, commons)
+        ]
+        trace.append(conditional_distance(new_flows, flows, coeffs.beta, gamma, metric=config.flow_metric))
+        flows = new_flows
+        if trace[-1] < config.tol:
+            return flows, trace, initial_cloud
+    raise NonConvergenceError(trace, config.tol)
+
+
 def picard_fixed_point(
     coeffs: CoefficientSet,
     initial_sampler,
@@ -663,36 +697,21 @@ def picard_fixed_point(
 
     Each iteration re-simulates ``config.paths`` decoupled paths against
     the previous flow and takes their empirical clouds as the next flow.
-    Initial draws are made once and shared by every iteration; with
-    ``config.crn`` the noise streams are also identical across
-    iterations (one event tape serves every pass), making the map
-    deterministic and its contraction factor directly observable.  The
-    starting flow is the constant-in-time initial cloud unless
+    One event tape serves every pass (common random numbers), making the
+    map deterministic and its contraction factor directly observable.
+    The starting flow is the constant-in-time initial cloud unless
     ``initial_flow`` overrides it (same grid required).  Raises
     :class:`NonConvergenceError` with the distance trace when the budget
     runs out.
     """
-    m = config.paths
     gamma = resolve_gamma(config, coeffs)
     if initial_flow is not None and not np.array_equal(initial_flow.times, grid.times):
         raise ConfigurationError("initial flow grid must match the solver grid")
-    tape = _draw_tape(coeffs, levy, grid, stream_ctx, initial_sampler, m)
-    initial_cloud = EmpiricalMeasure(tape.x0)
-    flow = initial_flow if initial_flow is not None else MeasureFlow.constant(grid.times, initial_cloud)
-
-    trace: list[float] = []
-    for it in range(config.max_iter):
-        if it and not config.crn:
-            ctx_it = stream_ctx.with_(replica=stream_ctx.replica + it)
-            tape = _draw_tape(coeffs, levy, grid, ctx_it, initial_cloud.points, m)
-        res = _simulate_system(coeffs, levy, grid, tape, config, flow=flow, collect_clouds=True)
-        new_flow = res.flow
-        dist = flow_distance(new_flow, flow, coeffs.beta, gamma, metric=config.flow_metric)
-        trace.append(dist)
-        flow = new_flow
-        if dist < config.tol:
-            return PicardResult(flow=flow, trace=trace, iterations=it + 1, initial_cloud=initial_cloud)
-    raise NonConvergenceError(trace, config.tol)
+    flows, trace, initial_cloud = _picard_flows(
+        coeffs, initial_sampler, levy, grid, config, stream_ctx, [None], gamma,
+        None if initial_flow is None else [initial_flow],
+    )
+    return PicardResult(flow=flows[0], trace=trace, iterations=len(trace), initial_cloud=initial_cloud)
 
 
 def simulate_particle_system(
@@ -704,6 +723,7 @@ def simulate_particle_system(
     stream_ctx: StreamContext,
     config: Optional[SolverConfig] = None,
     *,
+    common=None,
     particle_ids: Optional[Sequence[int]] = None,
     record_paths: bool = False,
     collect_clouds: bool = True,
@@ -714,12 +734,16 @@ def simulate_particle_system(
     The cloud is re-formed from all ``n`` states at each uniform grid
     time and frozen for the following step (snapshot semantics).  Paths
     are returned on request; the empirical flow is collected by default.
+    ``common`` is a :class:`~levyfield.common_noise.CommonRealization`
+    whose events every particle receives (None: no common layer); its
+    jumps show up in the jump logs with band tag ``V0``, after any
+    simultaneous idiosyncratic event.
     """
     config = config or SolverConfig()
     tape = _draw_tape(coeffs, levy, grid, stream_ctx, initial_sampler, n, particle_ids)
     return _simulate_system(
-        coeffs, levy, grid, tape, config,
-        interacting=True, collect_clouds=collect_clouds, record_paths=record_paths, observer=observer,
+        coeffs, levy, grid, tape, config, interacting=True, common=common,
+        collect_clouds=collect_clouds, record_paths=record_paths, observer=observer,
     )
 
 

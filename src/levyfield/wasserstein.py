@@ -18,8 +18,7 @@ particle counts, resampling upstream is the caller's job.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -30,15 +29,7 @@ from .streams import NoiseStream
 
 EXACT_SIZE_CAP = 4096
 
-__all__ = ["TransportPlan", "w_p_1d", "w_p_exact", "w_p_sliced", "flow_distance", "EXACT_SIZE_CAP"]
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """Optimal permutation coupling: source ``i`` pairs with target ``perm[i]``."""
-
-    perm: np.ndarray
-    distance: float
+__all__ = ["w_p_1d", "w_p_exact", "w_p_sliced", "flow_distance", "conditional_distance", "EXACT_SIZE_CAP"]
 
 
 def _as_points(mu) -> np.ndarray:
@@ -111,14 +102,21 @@ def _lexicographic_tie_pass(cost, perm):
     return perm
 
 
-def w_p_exact(mu, nu, p: float, *, size_cap: int = EXACT_SIZE_CAP, return_plan: bool = False):
+def _assignment(x, y, p):
+    """Cost matrix ``|x_i - y_j|^p`` and its optimal permutation, ties ordered lexicographically."""
+    diff = x[:, None, :] - y[None, :, :]
+    cost = np.sqrt((diff * diff).sum(axis=2)) ** p
+    _, perm = linear_sum_assignment(cost)
+    return cost, _lexicographic_tie_pass(cost, perm)
+
+
+def w_p_exact(mu, nu, p: float, *, size_cap: int = EXACT_SIZE_CAP) -> float:
     """Exact ``W_p`` via the optimal assignment, any dimension.
 
     Cost entries are ``|x_i - y_j|^p``; the per-pair costs of the optimal
     permutation are totaled with compensated summation.  Clouds larger
     than ``size_cap`` are refused (cubic solve); use :func:`w_p_sliced`
-    there.  With ``return_plan`` the permutation coupling is returned as a
-    :class:`TransportPlan`.
+    there.
     """
     if p < 1:
         raise ConfigurationError(f"p must be >= 1, got {p}")
@@ -130,15 +128,9 @@ def w_p_exact(mu, nu, p: float, *, size_cap: int = EXACT_SIZE_CAP, return_plan: 
         raise ConfigurationError(
             f"cloud size {n} exceeds the exact-assignment cap {size_cap}; use w_p_sliced"
         )
-    diff = x[:, None, :] - y[None, :, :]
-    cost = np.sqrt((diff * diff).sum(axis=2)) ** p
-    _, perm = linear_sum_assignment(cost)
-    perm = _lexicographic_tie_pass(cost, perm)
+    cost, perm = _assignment(x, y, p)
     total = math.fsum(cost[np.arange(n), perm].tolist())
-    distance = float((total / n) ** (1.0 / p))
-    if return_plan:
-        return distance, TransportPlan(perm, distance)
-    return distance
+    return float((total / n) ** (1.0 / p))
 
 
 def w_p_sliced(
@@ -187,6 +179,46 @@ def _w_auto(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float, metric: str, str
     raise ConfigurationError(f"unknown flow metric {metric!r}; choose 'exact' or 'sliced'")
 
 
+def conditional_distance(
+    new_flows: Sequence[MeasureFlow],
+    old_flows: Sequence[MeasureFlow],
+    beta: float,
+    eta: float,
+    *,
+    metric: str = "exact",
+    stream: Optional[NoiseStream] = None,
+) -> float:
+    """Discounted sup of the across-path power mean of flow distances.
+
+    ``sup_t e^(-eta t) (mean_j W_beta^beta(new_j_t, old_j_t))^(1/beta)``
+    over the grid, which every flow must share.  The power mean of equal
+    values is returned exactly (no round trip through the beta-th power),
+    so a family of identical paths reduces bit-exactly to one path, and
+    one path is :func:`flow_distance`.
+    """
+    if len(new_flows) != len(old_flows) or not new_flows:
+        raise ConfigurationError("need equally many (>=1) new and old flows")
+    if beta < 1:
+        raise ConfigurationError(f"beta must be >= 1, got {beta}")
+    if eta < 0:
+        raise ConfigurationError(f"eta must be >= 0, got {eta}")
+    times = new_flows[0].times
+    if not all(np.array_equal(flow.times, times) for flow in (*new_flows, *old_flows)):
+        raise ConfigurationError("flow grids differ; distances need a common grid")
+    best = 0.0
+    for idx, t in enumerate(times):
+        vals = [_w_auto(new.clouds[idx], old.clouds[idx], beta, metric, stream)
+                for new, old in zip(new_flows, old_flows)]
+        if all(v == vals[0] for v in vals):
+            avg = vals[0]
+        else:
+            avg = (math.fsum(v**beta for v in vals) / len(vals)) ** (1.0 / beta)
+        val = math.exp(-eta * t) * avg
+        if val > best:
+            best = val
+    return best
+
+
 def flow_distance(
     flow_a: MeasureFlow,
     flow_b: MeasureFlow,
@@ -203,15 +235,4 @@ def flow_distance(
     fixed-point driver uses a positive discount, under which the
     law-to-path map is a contraction.
     """
-    if beta < 1:
-        raise ConfigurationError(f"beta must be >= 1, got {beta}")
-    if gamma < 0:
-        raise ConfigurationError(f"gamma must be >= 0, got {gamma}")
-    if not np.array_equal(flow_a.times, flow_b.times):
-        raise ConfigurationError("flow grids differ; distances need a common grid")
-    best = 0.0
-    for t, a, b in zip(flow_a.times, flow_a.clouds, flow_b.clouds):
-        val = math.exp(-gamma * t) * _w_auto(a, b, beta, metric, stream)
-        if val > best:
-            best = val
-    return best
+    return conditional_distance([flow_a], [flow_b], beta, gamma, metric=metric, stream=stream)

@@ -18,7 +18,7 @@ from scipy import stats
 
 from levyfield.chaos import fit_loglog_slope, phi_rate
 from levyfield.coefficients import CoefficientSet, build_frozen, build_linear_meanfield
-from levyfield.common_noise import TwoLayerNoise, conditional_picard, simulate_common_system
+from levyfield.common_noise import TwoLayerNoise, conditional_picard, sample_common_realization
 from levyfield.config import load_config, validate_and_build
 from levyfield.errors import DivergenceError
 from levyfield.initial import normal_initial, point_initial
@@ -165,7 +165,7 @@ def test_criterion_05_picard_contraction_and_uniqueness(capsys, tmp_path):
     unique = gap < 2 * spec.solver.tol
 
     # the discount hides late-time error; undiscounted, the passes must show contraction
-    plain_cfg = replace(spec.solver, gamma=0.0, tol=1e-12, max_iter=60, crn=True)
+    plain_cfg = replace(spec.solver, gamma=0.0, tol=1e-12, max_iter=60)
     plain = picard_fixed_point(spec.coeffs, spec.initial, spec.levy, spec.grid, plain_cfg, ctx)
     plain_ratios = [b / a for a, b in zip(plain.trace[1:], plain.trace[2:])]
     plain_contraction = bool(plain_ratios) and all(r < 0.9 for r in plain_ratios)
@@ -346,13 +346,13 @@ def test_criterion_10_common_noise(capsys, tmp_path):
     )
     frozen = build_frozen(levy, dim=1, beta=2.0, a=1.0, gamma_f=0.2, gamma_g=0.3)
     plain = simulate_particle_system(frozen, 8, normal_initial(1), levy, grid, ctx, record_paths=True)
-    layered = simulate_common_system(
-        frozen, 8, normal_initial(1), TwoLayerNoise.single_layer(levy), grid, ctx,
-        record_paths=True,
+    silent = sample_common_realization(TwoLayerNoise.single_layer(levy).common, ctx, grid.horizon)
+    layered = simulate_particle_system(
+        frozen, 8, normal_initial(1), levy, grid, ctx, common=silent, record_paths=True
     )
-    system_equal = np.array_equal(plain.final, layered.final) and all(
+    system_equal = silent.empty and np.array_equal(plain.final, layered.final) and all(
         np.array_equal(pa.times, pb.times) and np.array_equal(pa.states, pb.states)
-        for pa, pb in zip(plain.paths, layered.sim.paths)
+        for pa, pb in zip(plain.paths, layered.paths)
     )
 
     small_only = LevyModel(dim=1, split_radius=1.0, small=levy.small, big=None)

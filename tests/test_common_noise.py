@@ -11,13 +11,11 @@ from levyfield.coefficients import build_frozen, build_linear_meanfield
 from levyfield.common_noise import (
     CommonRealization,
     TwoLayerNoise,
-    conditional_distance,
     conditional_picard,
     conditional_poc_replication,
     conditional_reference,
     run_conditional_poc,
     sample_common_realization,
-    simulate_common_system,
 )
 from levyfield.errors import ConfigurationError
 from levyfield.initial import normal_initial, point_initial
@@ -32,7 +30,7 @@ from levyfield.solver import (
     simulate_particle_system,
 )
 from levyfield.streams import EXP_MAIN, EXP_REFERENCE, Layer, StreamContext
-from levyfield.wasserstein import flow_distance
+from levyfield.wasserstein import conditional_distance, flow_distance
 
 from levyfield_testkit import count_generators, make_levy, small_only_levy
 
@@ -88,15 +86,15 @@ def test_zero_rate_common_layer_reduces_to_single_layer_system():
     plain = simulate_particle_system(
         coeffs, 6, normal_initial(1), levy, GRID, CTX, record_paths=True
     )
-    layered = simulate_common_system(
-        coeffs, 6, normal_initial(1), TwoLayerNoise.single_layer(levy), GRID, CTX,
-        record_paths=True,
+    silent = sample_common_realization(TwoLayerNoise.single_layer(levy).common, CTX, GRID.horizon)
+    assert silent.empty
+    layered = simulate_particle_system(
+        coeffs, 6, normal_initial(1), levy, GRID, CTX, common=silent, record_paths=True
     )
-    assert layered.realization.empty
     assert np.array_equal(plain.final, layered.final)
     for fa, fb in zip(plain.flow.clouds, layered.flow.clouds):
         assert np.array_equal(fa.points, fb.points)
-    for pa, pb in zip(plain.paths, layered.sim.paths):
+    for pa, pb in zip(plain.paths, layered.paths):
         assert np.array_equal(pa.times, pb.times)
         assert np.array_equal(pa.states, pb.states)
 
@@ -178,28 +176,26 @@ def test_conditional_poc_with_silent_common_layer_matches_weak_poc():
 def test_simultaneous_events_apply_idiosyncratic_before_common():
     levy = make_levy(dim=1, small_rate=0.5, big_rate=3.0)
     common_model = make_levy(dim=1, small_rate=0.0, big_rate=1.0)
-    noise = TwoLayerNoise(idio=levy, common=common_model)
     # state-dependent shared jump so the application order is visible in values
     coeffs = replace(
         build_frozen(levy, dim=1, beta=2.0, a=0.5, gamma_f=0.1, gamma_g=0.4),
         common_big=lambda X, Z, ctx: X * Z,
     )
-    base = simulate_common_system(
-        coeffs, 1, point_initial([1.0]), noise, GRID, CTX,
-        record_paths=True, realization=_empty_realization(common_model),
+    base = simulate_particle_system(
+        coeffs, 1, point_initial([1.0]), levy, GRID, CTX,
+        record_paths=True, common=_empty_realization(common_model),
     )
-    v_jumps = [j for j in base.sim.paths[0].jumps if j.band == "V"]
+    v_jumps = [j for j in base.paths[0].jumps if j.band == "V"]
     assert v_jumps, "pinned seed produced no idiosyncratic big jumps"
     t_star = v_jumps[0].time
 
     pinned = CommonRealization(
         common_model, np.empty(0), np.empty((0, 1)), np.array([t_star]), np.array([[1.5]])
     )
-    tied = simulate_common_system(
-        coeffs, 1, point_initial([1.0]), noise, GRID, CTX,
-        record_paths=True, realization=pinned,
+    tied = simulate_particle_system(
+        coeffs, 1, point_initial([1.0]), levy, GRID, CTX, record_paths=True, common=pinned,
     )
-    path = tied.sim.paths[0]
+    path = tied.paths[0]
     at_tie = [j for j in path.jumps if j.time == t_star]
     assert [j.band for j in at_tie] == ["V", "V0"]
 
@@ -247,15 +243,15 @@ def test_recorded_paths_match_uniform_states_and_breakpoint_arithmetic():
     n = 12
     realization = sample_common_realization(noise.common, CTX, GRID.horizon)
     assert realization.v_times.size >= 2
-    res = simulate_common_system(
-        coeffs, n, normal_initial(1), noise, GRID, CTX, realization=realization, record_paths=True
+    res = simulate_particle_system(
+        coeffs, n, normal_initial(1), noise.idio, GRID, CTX, common=realization, record_paths=True
     )
     tape = _draw_tape(coeffs, noise.idio, GRID, CTX, normal_initial(1), n)
     plain = _simulate_system(
         coeffs, noise.idio, GRID, tape, SolverConfig(), interacting=True, common=realization, collect_states=True
     )
     per_step = np.zeros((n, GRID.n_steps), dtype=int)
-    for j, path in enumerate(res.sim.paths):
+    for j, path in enumerate(res.paths):
         jump_times = [jm.time for jm in path.jumps]
         assert np.all(np.diff(path.times) > 0)
         uniform = ~np.isin(path.times, jump_times)
@@ -271,16 +267,16 @@ def test_recorded_paths_match_uniform_states_and_breakpoint_arithmetic():
 def test_tied_breakpoints_apply_idiosyncratic_first_for_every_particle():
     coeffs, noise = _rounds_case()
     n = 6
-    base = simulate_common_system(
-        coeffs, n, normal_initial(1), noise, GRID, CTX,
-        realization=_empty_realization(noise.common), record_paths=True,
+    base = simulate_particle_system(
+        coeffs, n, normal_initial(1), noise.idio, GRID, CTX,
+        common=_empty_realization(noise.common), record_paths=True,
     )
-    t_star = base.sim.paths[3].jumps[0].time
+    t_star = base.paths[3].jumps[0].time
     pinned = CommonRealization(noise.common, np.empty(0), np.empty((0, 1)), np.array([t_star]), np.array([[1.5]]))
-    tied = simulate_common_system(
-        coeffs, n, normal_initial(1), noise, GRID, CTX, realization=pinned, record_paths=True
+    tied = simulate_particle_system(
+        coeffs, n, normal_initial(1), noise.idio, GRID, CTX, common=pinned, record_paths=True
     )
-    for j, path in enumerate(tied.sim.paths):
+    for j, path in enumerate(tied.paths):
         at_tie = [jm for jm in path.jumps if jm.time == t_star]
         assert [jm.band for jm in at_tie] == (["V", "V0"] if j == 3 else ["V0"])
         _check_breakpoints(path)
@@ -306,36 +302,34 @@ def test_conditional_picard_mints_one_inner_tape_for_all_paths(monkeypatch):
 
 def test_pure_common_noise_moves_all_particles_in_lockstep():
     common_model = make_levy(dim=1, small_rate=1.5, big_rate=3.0)
-    noise = TwoLayerNoise(idio=no_noise(1), common=common_model)
     coeffs = build_linear_meanfield(
         no_noise(1), dim=1, beta=2.0, a=1.0, c=0.5, gamma_f0=0.3, gamma_g0=0.5
     )
     ctx = StreamContext(seed=700, experiment=EXP_MAIN, replica=0)
-    res = simulate_common_system(
-        coeffs, 5, point_initial([1.0]), noise, GRID, ctx, record_paths=True
+    realization = sample_common_realization(common_model, ctx, GRID.horizon)
+    res = simulate_particle_system(
+        coeffs, 5, point_initial([1.0]), no_noise(1), GRID, ctx, common=realization, record_paths=True
     )
-    assert res.realization.u_times.size > 0 and res.realization.v_times.size > 0
+    assert realization.u_times.size > 0 and realization.v_times.size > 0
     assert np.all(res.final == res.final[0])
-    common_jumps = res.sim.paths[0].jumps
+    common_jumps = res.paths[0].jumps
     assert all(j.band == "V0" for j in common_jumps)
-    assert len(common_jumps) == res.realization.v_times.size
+    assert len(common_jumps) == realization.v_times.size
 
 
 def test_exchangeability_holds_within_one_common_path():
     levy = make_levy(dim=1, small_rate=1.0, big_rate=0.5)
     common_model = make_levy(dim=1, small_rate=1.0, big_rate=1.0)
-    noise = TwoLayerNoise(idio=levy, common=common_model)
     coeffs = build_linear_meanfield(
         levy, dim=1, beta=2.0, gamma_f=0.2, gamma_f0=0.3, gamma_g0=0.4
     )
     realization = sample_common_realization(common_model, CTX, GRID.horizon)
     perm = [2, 0, 3, 1]
-    straight = simulate_common_system(
-        coeffs, 4, normal_initial(1), noise, GRID, CTX, realization=realization
+    straight = simulate_particle_system(
+        coeffs, 4, normal_initial(1), levy, GRID, CTX, common=realization
     )
-    shuffled = simulate_common_system(
-        coeffs, 4, normal_initial(1), noise, GRID, CTX,
-        realization=realization, particle_ids=perm,
+    shuffled = simulate_particle_system(
+        coeffs, 4, normal_initial(1), levy, GRID, CTX, common=realization, particle_ids=perm,
     )
     # the interaction statistic sums the cloud in permuted order, so the
     # match is exact only up to float summation order
@@ -345,18 +339,17 @@ def test_exchangeability_holds_within_one_common_path():
 def test_common_layer_spreads_conditional_means():
     levy = small_only_levy(rate=1.0)
     common_model = make_levy(dim=1, small_rate=0.0, big_rate=2.0)
-    noise = TwoLayerNoise(idio=levy, common=common_model)
     coeffs = build_linear_meanfield(levy, dim=1, beta=2.0, gamma_f=0.2, gamma_g0=0.6)
     means = []
     for j in range(5):
         realization = sample_common_realization(
             common_model, CTX.with_(replica=j), GRID.horizon
         )
-        first = simulate_common_system(
-            coeffs, 64, normal_initial(1), noise, GRID, CTX, realization=realization
+        first = simulate_particle_system(
+            coeffs, 64, normal_initial(1), levy, GRID, CTX, common=realization
         )
-        again = simulate_common_system(
-            coeffs, 64, normal_initial(1), noise, GRID, CTX, realization=realization
+        again = simulate_particle_system(
+            coeffs, 64, normal_initial(1), levy, GRID, CTX, common=realization
         )
         assert np.array_equal(first.final, again.final)
         means.append(float(first.final.mean()))

@@ -211,7 +211,7 @@ def test_kind_specific_experiment_checks():
 def test_two_layer_property_reflects_common_block():
     spec = validate_and_build(_quick_cfg())
     assert spec.common is None and spec.two_layer.common.small_rate == 0.0
-    layered = _quick_cfg()
+    layered = _quick_cfg(kind="common-noise", experiment={"task": "simulate", "n": 16})
     layered["common_noise"] = {
         "split_radius": 1.0,
         "small": {"rate": 0.5, "sampler": "annulus_uniform", "params": {"r_lo": 0.0, "r_hi": 1.0}},
@@ -220,6 +220,27 @@ def test_two_layer_property_reflects_common_block():
     layered["model"]["params"]["gamma_f0"] = 0.2
     spec2 = validate_and_build(layered)
     assert spec2.common is not None and spec2.two_layer.common.small_rate == 0.5
+
+
+@pytest.mark.parametrize("where, key", [("", "seeds"), ("model", "familly"), ("noise", "smal"),
+                                        ("common_noise", "bigg"), ("initial", "parms"), ("grid", "steps")],
+                         ids=lambda v: v or "top")
+def test_unknown_key_in_a_fixed_block_is_rejected_by_its_key_path(where, key):
+    cfg = _rate_cfg("common-noise", replications=1)  # carries every block
+    validate_and_build(cfg)
+    (cfg[where] if where else cfg)[key] = {"rate": 1.0}
+    with pytest.raises(ConfigurationError, match=re.escape(f"{where}.{key}" if where else f"'{key}'")):
+        validate_and_build(cfg)
+
+
+@pytest.mark.parametrize("name", ["simulate_cubic", "picard_cubic", "poc_weak_cubic", "poc_strong_linear",
+                                  "moments_cubic"])
+def test_common_noise_block_is_rejected_where_no_run_reads_it(name):
+    cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+    validate_and_build(cfg)
+    cfg["common_noise"] = load_config(CONFIG_DIR / "common_simulate.yaml")["common_noise"]
+    with pytest.raises(ConfigurationError, match=f"common_noise is not read by kind '{cfg['kind']}'"):
+        validate_and_build(cfg)
 
 
 def test_load_config_rejects_non_mapping_root(tmp_path):
@@ -482,14 +503,12 @@ def test_cli_divergent_run_writes_error_json(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["exit_code"] == 2
 
 
-@pytest.mark.parametrize("kind, threshold", [("poc", 3.0), ("strong-poc", 2.5), ("common-noise", 3.0)])
-def test_rate_run_diverging_in_a_replication_writes_error_json(tmp_path, monkeypatch, kind, threshold):
-    # a threshold the 8-particle reference stays under but some replication's 128 particles do not,
-    # at a seed whose draws cross it for every kind
+@pytest.mark.parametrize("kind", RATE_KINDS)
+def test_rate_run_diverging_in_a_replication_writes_error_json(tmp_path, monkeypatch, kind):
+    # the threshold comes from the run's own numbers: above the peak |x| of the kept
+    # 8-particle reference, below the peak of some replication's 128 particles
     cfg = _rate_cfg(kind, replications=2)
-    cfg["seed"] = 7
     cfg["experiment"].update(n_grid=[4, 16, 128], reference_paths=8)
-    cfg["solver"]["divergence_threshold"] = threshold
     references = []
 
     def keeping(build):
@@ -500,10 +519,25 @@ def test_rate_run_diverging_in_a_replication_writes_error_json(tmp_path, monkeyp
 
     monkeypatch.setattr("levyfield.runner.reference_fixed_point", keeping(reference_fixed_point))
     monkeypatch.setattr("levyfield.runner.conditional_reference", keeping(conditional_reference))
-    out = tmp_path / "out"
-    assert run_experiment(validate_and_build(cfg), out) == 2
-    assert len(references) == 1
-    error = _strict_json(out / "error.json")
+
+    def run_at(threshold, name):
+        cfg["solver"]["divergence_threshold"] = threshold
+        references.clear()
+        code = run_experiment(validate_and_build(cfg), tmp_path / name)
+        assert len(references) == 1
+        return code
+
+    assert run_at(1e12, "calm") in (0, 1)
+    flows = getattr(references[0], "flows", None) or [references[0].flow]
+    ref_peak = max(float(np.abs(cloud.points).max()) for flow in flows for cloud in flow.clouds)
+    # just above the reference's peak some replication must cross, else there is no gap to aim into
+    assert run_at(float(np.nextafter(ref_peak, np.inf)), "edge") == 2, "no replication exceeds the reference's peak"
+    rep_peak = _strict_json(tmp_path / "edge" / "error.json")["magnitude"]  # that replication's peak is at least this
+    assert rep_peak > ref_peak
+
+    threshold = (ref_peak + rep_peak) / 2
+    assert run_at(threshold, "out") == 2
+    error = _strict_json(tmp_path / "out" / "error.json")
     _assert_valid(error, "error.schema.json")
     assert error["error"] == "DivergenceError"
     assert 0 <= error["particle"] < 128 and error["magnitude"] > threshold

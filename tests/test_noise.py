@@ -23,7 +23,6 @@ from levyfield.noise import (
     RadialExponential,
     no_noise,
     nu_expectation,
-    v_beta_moment,
 )
 from levyfield.streams import Layer, NoiseStream, StreamBlock, StreamContext
 
@@ -306,18 +305,6 @@ def test_nu_expectation_matches_annulus_closed_form():
     est = nu_expectation(model, "V", lambda z: (z * z).sum(axis=1), samples=200_000)
     assert abs(est.value - 2.0 * 7.0 / 3.0) < 4 * est.se + 1e-3
     assert est.se > 0
-
-
-def test_v_beta_moment_prefers_declared_value():
-    model = LevyModel(
-        dim=1,
-        split_radius=1.0,
-        big=LevyBand(1.0, AnnulusUniform(1, 1.0, 2.0)),
-        beta_moment_v=4.25,
-    )
-    assert v_beta_moment(model, 2.0) == 4.25
-    # closed form applies when the big band sits outside the unit ball
-    assert abs(v_beta_moment(make_levy(big_rate=1.0), 2.0) - 7.0 / 3.0) < 1e-12
 
 
 def test_nu_expectation_rejects_non_finite_integrands():

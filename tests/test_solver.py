@@ -299,24 +299,6 @@ def test_picard_nonconvergence_carries_the_trace():
     assert err.value.tol == 1e-12
 
 
-def test_crn_off_resamples_noise_across_iterations():
-    # without CRN the iterate distance floors at the resampling noise, far
-    # above a tight tolerance; with CRN the same budget converges
-    levy = small_only_levy()
-    coeffs = build_cubic_interaction(levy, dim=1, beta=2.0)
-    on = picard_fixed_point(coeffs, INIT, levy, GRID, quick_config(paths=64, tol=1e-3), CTX)
-    assert on.trace[-1] < 1e-3
-    with pytest.raises(NonConvergenceError) as err:
-        picard_fixed_point(
-            coeffs, INIT, levy, GRID, quick_config(paths=64, tol=1e-3, max_iter=8, crn=False), CTX
-        )
-    off_trace = err.value.trace
-    # iteration one consumed identical streams either way; later ones diverge
-    assert on.trace[0] == off_trace[0]
-    assert on.trace[1:3] != off_trace[1:3]
-    assert min(off_trace) > 1e-3
-
-
 def test_crn_picard_limit_is_the_interacting_system_at_every_grid_time():
     # with common random numbers pass i is exact at t_0..t_i, so the
     # undiscounted iteration stops at distance 0 on the interacting run

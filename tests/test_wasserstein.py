@@ -10,6 +10,7 @@ from levyfield.errors import ConfigurationError
 from levyfield.measures import EmpiricalMeasure, MeasureFlow
 from levyfield.wasserstein import (
     EXACT_SIZE_CAP,
+    _assignment,
     flow_distance,
     w_p_1d,
     w_p_exact,
@@ -92,22 +93,20 @@ def test_tie_break_prefers_lexicographically_smallest_plan():
     # equidistant cross: every pairing costs the same, pick [0, 1, ...]
     x = np.array([[0.0], [2.0]])
     y = np.array([[1.0], [1.0]])
-    _, plan = w_p_exact(x, y, 1.0, return_plan=True)
-    assert np.array_equal(plan.perm, [0, 1])
+    assert np.array_equal(_assignment(x, y, 1.0)[1], [0, 1])
     x = np.array([[0.0], [0.0], [0.0]])
     y = np.array([[1.0], [1.0], [1.0]])
-    _, plan = w_p_exact(x, y, 2.0, return_plan=True)
-    assert np.array_equal(plan.perm, [0, 1, 2])
+    assert np.array_equal(_assignment(x, y, 2.0)[1], [0, 1, 2])
     # unique optimum stays untouched by the tie pass
-    d, plan = w_p_exact(np.array([[-1.0], [1.0]]), np.array([[1.0], [-1.0]]), 1.0, return_plan=True)
-    assert d == 0.0 and np.array_equal(plan.perm, [1, 0])
+    x, y = np.array([[-1.0], [1.0]]), np.array([[1.0], [-1.0]])
+    assert w_p_exact(x, y, 1.0) == 0.0 and np.array_equal(_assignment(x, y, 1.0)[1], [1, 0])
 
 
 def test_tie_break_is_deterministic_across_repeats():
     rng = np.random.default_rng(15)
     grid = rng.integers(-3, 3, size=(6, 1)).astype(float)
     other = rng.integers(-3, 3, size=(6, 1)).astype(float)
-    plans = [w_p_exact(grid, other, 1.0, return_plan=True)[1].perm for _ in range(5)]
+    plans = [_assignment(grid, other, 1.0)[1] for _ in range(5)]
     for p in plans[1:]:
         assert np.array_equal(plans[0], p)
 
