@@ -20,7 +20,7 @@ from .errors import ConfigurationError
 from .measures import EmpiricalMeasure, beta_norm
 from .noise import LevyModel
 from .streams import EXP_AUX, Layer, NoiseStream
-from .wasserstein import w_p_1d, w_p_exact
+from .wasserstein import w_p
 
 __all__ = [
     "AssumptionReport",
@@ -60,12 +60,6 @@ class AssumptionReport:
 
 def _aux_stream(seed):
     return NoiseStream(seed=seed, experiment=EXP_AUX, replica=0, particle=0, layer=Layer.AUX)
-
-
-def _w_beta(mu1, mu2, beta):
-    if mu1.dim == 1:
-        return w_p_1d(mu1.points, mu2.points, beta)
-    return w_p_exact(mu1, mu2, beta)
 
 
 def default_pair_sampler(
@@ -192,7 +186,7 @@ def check_one_sided_lipschitz(
         x, y, mu1, mu2 = draw(gen)
         dx = x - y
         dist2 = float((dx * dx).sum())
-        w = _w_beta(mu1, mu2, w_order)
+        w = w_p(mu1, mu2, w_order)
         if variant == "A1":
             base = dist2 + w * w
         else:

@@ -53,7 +53,7 @@ from .solver import (
     simulate_particle_system,
 )
 from .streams import EXP_FRESH_COPIES, EXP_MAIN, EXP_REFERENCE, StreamContext
-from .wasserstein import w_p_1d, w_p_exact
+from .wasserstein import w_p
 
 __all__ = [
     "phi_rate",
@@ -222,13 +222,6 @@ def _eval_index(grid: TimeGrid, eval_time: Optional[float]) -> int:
     return idx
 
 
-def _w_pp(a: np.ndarray, b: np.ndarray, p: float) -> float:
-    """``W_p^p`` between two equal-size state arrays."""
-    if a.shape[1] == 1:
-        return w_p_1d(a, b, p) ** p
-    return w_p_exact(a, b, p) ** p
-
-
 def _reference_flows(coeffs, levy, grid, initial_sampler, solver_cfg, poc_cfg, seed, commons) -> list:
     """Flows of the interacting system on the reserved reference block, one per entry of ``commons``.
 
@@ -323,8 +316,8 @@ def coupling_terms(coeffs, levy, grid, n, solver_cfg, p, t_idx, tape, copies, co
         coeffs, levy, grid, tape.head(n), solver_cfg, interacting=True, collect_states=True, common=common,
     )
     limit, fresh = (run.head(n) for run in copies)
-    coupling = _w_pp(inter.states[t_idx], limit.states[t_idx], p)
-    iid = _w_pp(limit.states[t_idx], fresh.states[t_idx], p)
+    coupling = w_p(inter.states[t_idx], limit.states[t_idx], p) ** p
+    iid = w_p(limit.states[t_idx], fresh.states[t_idx], p) ** p
     return coupling, iid
 
 

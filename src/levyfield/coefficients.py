@@ -67,10 +67,11 @@ class CoefficientSet:
     * ``small_jump(X, Z, ctx) -> (k, d)``  -- compensated band ``f``
     * ``big_jump(X, Z, ctx) -> (k, d)``    -- uncompensated band ``g``
     * ``small_compensator(X, ctx, levy) -> (n, d)`` -- closed form of
-      ``integral_U f(x, mu, z) nu(dz)``; when absent the solver falls back
-      to a Monte Carlo mark batch.
+      ``integral_U f(x, mu, z) nu(dz)``, required with ``small_jump``
     * ``common_small(X, Z) -> (k, d)`` -- ``f0``, measure-free by contract
     * ``common_big(X, Z, ctx) -> (k, d)`` -- ``g0``
+    * ``common_small_compensator(X, ctx, levy) -> (n, d)`` -- closed form
+      of ``integral_U0 f0(x, z) nu0(dz)``, required with ``common_small``
     """
 
     name: str
@@ -95,6 +96,10 @@ class CoefficientSet:
             problems.append(f"dim must be >= 1, got {self.dim}")
         if not 1.0 <= self.beta <= 2.0:
             problems.append(f"beta must lie in [1, 2], got {self.beta}")
+        if self.small_jump is not None and self.small_compensator is None:
+            problems.append("small_jump needs its closed-form small_compensator")
+        if self.common_small is not None and self.common_small_compensator is None:
+            problems.append("common_small needs its closed-form common_small_compensator")
         if problems:
             raise ConfigurationError(problems)
 

@@ -68,12 +68,12 @@ _COMMON_KINDS = ("common-noise", "check-assumptions")
 # experiment-block keys each kind accepts (None = no experiment block needed);
 # strong-poc has no eval_time, its statistic is a supremum over the horizon
 _EXPERIMENT_KEYS = {
-    "simulate": {"n", "record_paths"},
+    "simulate": {"n"},
     "picard": set(),
     "poc": {"p", "n_grid", "replications", "eval_time", "reference_paths", "slack"},
     "strong-poc": {"p", "n_grid", "replications", "q1", "q2", "reference_paths", "slack"},
     "moments": {"scalings", "separated_coercivity", "spread_bound"},
-    "common-noise": {"task", "n", "record_paths", "p", "n_grid", "replications", "eval_time", "reference_paths", "slack"},
+    "common-noise": {"task", "n", "p", "n_grid", "replications", "eval_time", "reference_paths", "slack"},
     "check-assumptions": {"variant", "coercivity_variant", "p", "trials", "tolerance"},
 }
 

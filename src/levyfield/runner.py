@@ -176,7 +176,6 @@ def _run_simulate(spec: ExperimentSpec, out: Path, jobs: int):
     res = simulate_particle_system(
         spec.coeffs, n, spec.initial, spec.levy, spec.grid,
         StreamContext(seed=spec.seed, experiment=EXP_MAIN, replica=0), spec.solver,
-        record_paths=bool(spec.experiment.get("record_paths", False)),
         collect_clouds=False,
         observer=_timeseries_observer(spec.coeffs.beta, rows),
     )
@@ -288,7 +287,6 @@ def _run_common(spec: ExperimentSpec, out: Path, jobs: int):
     res = simulate_particle_system(
         spec.coeffs, n, spec.initial, spec.levy, spec.grid, ctx, spec.solver,
         common=real,
-        record_paths=bool(spec.experiment.get("record_paths", False)),
         collect_clouds=False,
         observer=_timeseries_observer(spec.coeffs.beta, rows),
     )

@@ -11,10 +11,14 @@ time.  Big-band events are interlaced: their arrival times are real
 numbers, inserted as extra grid points for the path they drive; the
 small-jump dynamics are solved up to each arrival, the jump
 ``x <- x + g(x-, mu, z)`` is spliced in, and the state (not the measure)
-is re-frozen from the post-jump value.  A step applies this to all
-particles at once: particles without a big event in the step take the
-plain update, and the rest cross their breakpoints in rounds, round r
-moving every such particle to its r-th breakpoint.
+is re-frozen from the post-jump value.  One function, :func:`_segment`,
+solves every frozen small-jump segment, and it sums in one order:
+``x + dt b``, minus ``dt`` times each compensator (idiosyncratic, then
+common), plus each common small jump in time order, plus the particle's
+own small-jump sum.  A step without a breakpoint is one segment of all
+particles; a step with one crosses the breakpoints in rounds, round r
+moving every particle with an r-th breakpoint up to it, and ends with
+one segment of all particles to the step's end.
 
 Measure sources are the only difference between the drivers: a decoupled
 path reads a fixed :class:`~levyfield.measures.MeasureFlow`, the
@@ -73,7 +77,7 @@ from .errors import ConfigurationError, DivergenceError, NonConvergenceError
 from .initial import InitialLaw
 from .measures import EmpiricalMeasure, MeasureFlow
 from .noise import LevyModel, _draw_block_events
-from .streams import MAX_PARTICLE, Layer, StreamBlock, StreamContext
+from .streams import Layer, StreamBlock, StreamContext
 from .wasserstein import conditional_distance
 
 __all__ = [
@@ -89,9 +93,6 @@ __all__ = [
     "simulate_coupled",
     "resolve_gamma",
 ]
-
-# stream address reserved for the Monte Carlo compensator fallback batch
-_COMPENSATOR_PARTICLE = MAX_PARTICLE
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,6 @@ class SolverConfig:
     tol: float = 1e-3
     max_iter: int = 20
     divergence_threshold: float = 1e12
-    compensator_samples: int = 2048
     flow_metric: str = "exact"
 
     def __post_init__(self):
@@ -316,15 +316,12 @@ class _EventTape:
     ``x0`` holds the initial states, ``small`` and ``big`` the events of
     the idiosyncratic bands (None for a band the run does not use).  The
     first ``n`` particles of a tape drawn for ids ``0..N-1`` are exactly
-    the tape drawn for ids ``0..n-1``, see :meth:`head`.  Compensator mark
-    batches are drawn on first use and shared by every slice.
+    the tape drawn for ids ``0..n-1``, see :meth:`head`.
     """
 
-    stream_ctx: StreamContext
     x0: np.ndarray
     small: Optional[_Events]
     big: Optional[_Events]
-    batches: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -336,19 +333,10 @@ class _EventTape:
         if not 1 <= n < self.n:
             raise ConfigurationError(f"cannot take {n} particles from a tape of {self.n}")
         return _EventTape(
-            self.stream_ctx, self.x0[:n],
+            self.x0[:n],
             self.small.head(n) if self.small is not None else None,
             self.big.head(n) if self.big is not None else None,
-            self.batches,
         )
-
-    def batch(self, layer: Layer, band, samples: int) -> np.ndarray:
-        """Pinned compensator mark batch of ``band`` from ``layer``'s reserved stream."""
-        key = (int(layer), band, samples)
-        if key not in self.batches:
-            gen = self.stream_ctx.generator(_COMPENSATOR_PARTICLE, layer)
-            self.batches[key] = band.sampler.draw(gen, samples)
-        return self.batches[key]
 
 
 def _draw_tape(
@@ -395,27 +383,12 @@ def _draw_tape(
         # uniform step (t_k, t_{k+1}] holding each arrival
         step = np.searchsorted(times, time, side="left") - 1
         big = _Events.from_draws(row, step, time, mark, grid.n_steps)
-    return _EventTape(stream_ctx, x0, small, big)
+    return _EventTape(x0, small, big)
 
 
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
-
-
-def _mc_compensator(coeffs_fn, rate, batch, measure_free):
-    """Fallback ``integral f(x, mu, z) nu(dz)`` from a pinned mark batch."""
-
-    def comp(X, ctx):
-        out = np.empty_like(X)
-        k = batch.shape[0]
-        for j in range(X.shape[0]):
-            tiled = np.broadcast_to(X[j], (k, X.shape[1]))
-            vals = coeffs_fn(tiled, batch) if measure_free else coeffs_fn(tiled, batch, ctx)
-            out[j] = rate * vals.mean(axis=0)
-        return out
-
-    return comp
 
 
 def _event_sums(vals, owner):
@@ -438,66 +411,83 @@ def _event_sums(vals, owner):
     return owner[start], sums
 
 
-def _interlace(coeffs, ctx, x, rows, t0, t1, *, comp, comp0, small, big, common_small, common_big):
-    """Carry particles ``rows`` (ascending) across ``(t0, t1]`` through their breakpoints.
+def _segment(coeffs, ctx, laws, x, delta, common, own):
+    """Solve one frozen small-jump segment: the new states of ``x``.
 
-    ``x`` holds their states at ``t0`` and is advanced in place.
-    Breakpoints are the particles' own big events and every common big
-    event of the step; simultaneous events apply idiosyncratic first.
-    Round r moves every particle with an r-th breakpoint up to it (a
-    segment of small-jump dynamics frozen at the segment start) and
-    splices the jump in.  Returns the breakpoint records
-    ``(row, time, band, mark, increment, state)`` of each round.
+    Every coefficient sees ``x``, the states at the segment start, and
+    the sum runs in one order: ``x + delta b``, minus ``delta`` times the
+    idiosyncratic and then the common compensator (``laws`` holds their
+    Lévy models, None for a band that is off), plus each common small
+    jump in time order, plus each row's own small-event sum
+    (:func:`_event_sums`).  ``delta`` is the scalar step or an ``(m, 1)``
+    column of segment lengths.  The caller hands in only the events in
+    the rows' windows: ``common`` as ``(rows, mark)`` pairs in time
+    order, ``own`` as ``(rows, marks)`` with rows ascending.
     """
-    m = rows.size
+    small_law, common_law = laws
+    out = x + delta * coeffs.drift(x, ctx)
+    if small_law is not None:
+        out -= delta * coeffs.small_compensator(x, ctx, small_law)
+    if common_law is not None:
+        out -= delta * coeffs.common_small_compensator(x, ctx, common_law)
+    for rows, z in common:
+        xr = x[rows]
+        out[rows] += coeffs.common_small(xr, np.broadcast_to(z, xr.shape))
+    own_rows, own_marks = own
+    if own_rows.size:
+        owners, sums = _event_sums(coeffs.small_jump(x[own_rows], own_marks, ctx), own_rows)
+        out[owners] += sums
+    return out
+
+
+def _interlace(coeffs, ctx, laws, X, t0, t1, *, small, big, common_small, common_big):
+    """Carry every particle across ``(t0, t1]`` through its breakpoints.
+
+    ``X`` holds the states at ``t0``.  Breakpoints are each particle's
+    own big events and every common big event of the step; simultaneous
+    events apply idiosyncratic first.  Round r moves every particle with
+    an r-th breakpoint up to it (one :func:`_segment` of those rows, each
+    seeing the small events of its own window) and splices the jump in;
+    one last segment of every particle reaches ``t1``.  Every segment
+    thus sums in a calm step's order, and a particle without a
+    breakpoint gets exactly a calm step's value.  Returns the states at
+    ``t1`` and the breakpoint records ``(row, time, band, mark,
+    increment, state)`` of each round.
+    """
+    n = X.shape[0]
     v_row, v_time, v_mark = big
     cv_time, cv_mark = common_big
-    pos = np.concatenate([np.searchsorted(rows, v_row), np.repeat(np.arange(m), cv_time.size)])
-    time = np.concatenate([v_time, np.tile(cv_time, m)])
-    band = np.concatenate([np.zeros(v_time.size, dtype=int), np.ones(m * cv_time.size, dtype=int)])
-    mark = np.concatenate([v_mark, np.tile(cv_mark, (m, 1))])
-    order = np.lexsort((band, time, pos))
-    pos, time, band, mark = pos[order], time[order], band[order], mark[order]
-    rank = np.arange(pos.size) - np.searchsorted(pos, pos)
-
+    row = np.concatenate([v_row, np.repeat(np.arange(n), cv_time.size)])
+    time = np.concatenate([v_time, np.tile(cv_time, n)])
+    band = np.concatenate([np.zeros(v_time.size, dtype=int), np.ones(n * cv_time.size, dtype=int)])
+    mark = np.concatenate([v_mark, np.tile(cv_mark, (n, 1))])
+    order = np.lexsort((band, time, row))
+    row, time, band, mark = row[order], time[order], band[order], mark[order]
+    rank = np.arange(row.size) - np.searchsorted(row, row)
     u_row, u_time, u_mark = small
-    hit = np.isin(u_row, rows)
-    u_pos, u_time, u_mark = np.searchsorted(rows, u_row[hit]), u_time[hit], u_mark[hit]
     cu_time, cu_mark = common_small
+    s = np.full(n, t0)
 
-    def advance(q, s_a, s_b):
-        xq = x[q]
-        delta = (s_b - s_a)[:, None]
-        incr = delta * coeffs.drift(xq, ctx)
-        if comp is not None:
-            incr = incr - delta * comp(xq, ctx)
-        if comp0 is not None:
-            incr = incr - delta * comp0(xq, ctx)
-        if u_pos.size:
-            lo = np.full(m, np.nan)
-            hi = np.full(m, np.nan)
-            lo[q], hi[q] = s_a, s_b
-            own = (u_time > lo[u_pos]) & (u_time <= hi[u_pos])
-            if own.any():
-                owners, sums = _event_sums(coeffs.small_jump(x[u_pos[own]], u_mark[own], ctx), u_pos[own])
-                at = np.searchsorted(q, owners)
-                incr[at] = incr[at] + sums
-        if cu_time.size:
-            qi, ei = np.nonzero((cu_time > s_a[:, None]) & (cu_time <= s_b[:, None]))
-            if qi.size:
-                owners, sums = _event_sums(coeffs.common_small(xq[qi], cu_mark[ei]), qi)
-                incr[owners] = incr[owners] + sums
-        x[q] = xq + incr
+    def window(q, s_b):
+        """Length and small events of the segments of rows ``q`` (ascending) from ``s[q]`` to ``s_b``."""
+        s_a = s[q]
+        hi = np.full(n, -np.inf)
+        hi[q] = s_b
+        own = (u_time > s[u_row]) & (u_time <= hi[u_row])
+        inside = (cu_time > s_a[:, None]) & (cu_time <= s_b[:, None])
+        common = [(np.flatnonzero(inside[:, j]), cu_mark[j]) for j in np.flatnonzero(inside.any(axis=0))]
+        return (s_b - s_a)[:, None], common, (np.searchsorted(q, u_row[own]), u_mark[own])
 
-    s = np.full(m, t0)
+    x = X.copy()
     records = []
-    for r in range(int(rank.max()) + 1 if rank.size else 0):
+    for r in range(int(rank.max()) + 1):
         e = np.flatnonzero(rank == r)
-        p, bt = pos[e], time[e]
+        p, bt = row[e], time[e]
         go = bt > s[p]
         if go.any():
-            advance(p[go], s[p[go]], bt[go])
-            s[p[go]] = bt[go]
+            q = p[go]
+            x[q] = _segment(coeffs, ctx, laws, x[q], *window(q, bt[go]))
+            s[q] = bt[go]
         idio = band[e] == 0
         incr = np.empty((e.size, x.shape[1]))
         if idio.any():
@@ -505,11 +495,8 @@ def _interlace(coeffs, ctx, x, rows, t0, t1, *, comp, comp0, small, big, common_
         if not idio.all():
             incr[~idio] = coeffs.common_big(x[p[~idio]], mark[e[~idio]], ctx)
         x[p] = x[p] + incr
-        records.append((rows[p], bt, band[e], mark[e], incr, x[p]))
-    go = np.flatnonzero(t1 > s)
-    if go.size:
-        advance(go, s[go], np.full(go.size, t1))
-    return records
+        records.append((p, bt, band[e], mark[e], incr, x[p]))
+    return _segment(coeffs, ctx, laws, x, *window(np.arange(n), np.full(n, t1))), records
 
 
 def _simulate_system(
@@ -527,7 +514,7 @@ def _simulate_system(
     record_paths: bool = False,
     observer: Optional[Callable] = None,
 ) -> SimResult:
-    """Run the particles of ``tape`` over ``grid``; nothing is drawn here but compensator batches."""
+    """Run the particles of ``tape`` over ``grid``; nothing is drawn here."""
     if not interacting and flow is None:
         raise ConfigurationError("decoupled runs need a measure flow")
     times = grid.times
@@ -535,29 +522,16 @@ def _simulate_system(
     n, d = X.shape
     no_rows, no_times, no_marks = np.empty(0, dtype=int), np.empty(0), np.empty((0, d))
 
-    comp = None
-    if tape.small is not None:
-        if coeffs.small_compensator is not None:
-            comp = lambda X_, ctx_: coeffs.small_compensator(X_, ctx_, levy)
-        else:
-            batch = tape.batch(Layer.AUX, levy.small, config.compensator_samples)
-            # small_jump always takes the measure context positionally
-            comp = _mc_compensator(coeffs.small_jump, levy.small.rate, batch, measure_free=False)
-
     # common layer: events shared across particles, presampled by the caller;
     # offsets[k]:offsets[k + 1] are the events in uniform step (t_k, t_{k+1}]
     cu_off = cv_off = None
-    comp0 = None
     if common is not None:
         if coeffs.common_small is not None and common.model.small_rate > 0.0:
             cu_off = np.searchsorted(common.u_times, times, side="right")
-            if coeffs.common_small_compensator is not None:
-                comp0 = lambda X_, ctx_: coeffs.common_small_compensator(X_, ctx_, common.model)
-            else:
-                batch0 = tape.batch(Layer.COMMON_SMALL, common.model.small, config.compensator_samples)
-                comp0 = _mc_compensator(coeffs.common_small, common.model.small.rate, batch0, measure_free=True)
         if coeffs.common_big is not None and common.model.big_rate > 0.0:
             cv_off = np.searchsorted(common.v_times, times, side="right")
+    # Levy models of the compensated bands, None for a band that is off
+    laws = (levy if tape.small is not None else None, common.model if cu_off is not None else None)
 
     states = None
     if collect_states or record_paths:
@@ -575,12 +549,6 @@ def _simulate_system(
         mu = EmpiricalMeasure(X) if interacting else flow.at(t0)
         ctx = coeffs.prepare(mu)
 
-        base = X + dt * coeffs.drift(X, ctx)
-        if comp is not None:
-            base -= dt * comp(X, ctx)
-        if comp0 is not None:
-            base -= dt * comp0(X, ctx)
-
         small = tape.small.at(k) if tape.small is not None else (no_rows, no_times, no_marks)
         big = tape.big.at(k) if tape.big is not None else (no_rows, no_times, no_marks)
         cu = cv = (no_times, no_marks)
@@ -591,30 +559,12 @@ def _simulate_system(
             a, b = cv_off[k], cv_off[k + 1]
             cv = (common.v_times[a:b], common.v_marks[a:b])
 
-        # particles with a big event in the step cross it in rounds; the rest
-        # take the single frozen segment
-        if cv[0].size:
-            jumping = np.arange(n)
-        else:
-            jumping = np.unique(big[0]) if big[0].size else no_rows
-            for zc in cu[1]:
-                base += coeffs.common_small(X, np.broadcast_to(zc, (n, d)))
-        u_row, _, u_mark = small
-        if u_row.size:
-            calm = ~np.isin(u_row, jumping) if jumping.size else slice(None)
-            if u_row[calm].size:
-                owners, sums = _event_sums(
-                    coeffs.small_jump(X[u_row[calm]], u_mark[calm], ctx), u_row[calm]
-                )
-                base[owners] += sums
-        if jumping.size:
-            x = X[jumping]
-            rounds = _interlace(coeffs, ctx, x, jumping, t0, t1, comp=comp, comp0=comp0,
-                                small=small, big=big, common_small=cu, common_big=cv)
-            base[jumping] = x
+        if big[0].size or cv[0].size:
+            X, rounds = _interlace(coeffs, ctx, laws, X, t0, t1, small=small, big=big, common_small=cu, common_big=cv)
             if records is not None:
                 records.extend((np.full(rec[0].size, k),) + rec for rec in rounds)
-        X = base
+        else:
+            X = _segment(coeffs, ctx, laws, X, dt, [(slice(None), z) for z in cu[1]], (small[0], small[2]))
 
         amax = float(np.max(np.abs(X))) if X.size else 0.0
         if not math.isfinite(amax) or amax > config.divergence_threshold:

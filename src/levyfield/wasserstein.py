@@ -11,6 +11,9 @@ assignment problem and can be solved exactly.  Three routes:
   estimate with a standard error, for clouds too large for the exact
   route.  It is never used in pass/fail verdicts.
 
+:func:`w_p` picks the exact route by the clouds' dimension; the flow
+distances, the chaos replications and the assumption checker call it.
+
 Clouds of different sizes are rejected: producers are expected to match
 particle counts, resampling upstream is the caller's job.
 """
@@ -29,7 +32,7 @@ from .streams import NoiseStream
 
 EXACT_SIZE_CAP = 4096
 
-__all__ = ["w_p_1d", "w_p_exact", "w_p_sliced", "flow_distance", "conditional_distance", "EXACT_SIZE_CAP"]
+__all__ = ["w_p", "w_p_1d", "w_p_exact", "w_p_sliced", "flow_distance", "conditional_distance", "EXACT_SIZE_CAP"]
 
 
 def _as_points(mu) -> np.ndarray:
@@ -169,13 +172,19 @@ def w_p_sliced(
     return est, se
 
 
-def _w_auto(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float, metric: str, stream) -> float:
+def w_p(mu, nu, p: float) -> float:
+    """Exact ``W_p``: :func:`w_p_1d` in one dimension, :func:`w_p_exact` otherwise."""
+    # both are looked up as module globals at call time, so a hook on either sees every call
+    if _as_points(mu).shape[1] == 1:
+        return w_p_1d(mu, nu, p)
+    return w_p_exact(mu, nu, p)
+
+
+def _w_auto(a: EmpiricalMeasure, b: EmpiricalMeasure, p: float, metric: str) -> float:
     if metric == "exact":
-        if a.dim == 1:
-            return w_p_1d(a.points, b.points, p)
-        return w_p_exact(a, b, p)
+        return w_p(a, b, p)
     if metric == "sliced":
-        return w_p_sliced(a, b, p, stream=stream)[0]
+        return w_p_sliced(a, b, p)[0]
     raise ConfigurationError(f"unknown flow metric {metric!r}; choose 'exact' or 'sliced'")
 
 
@@ -186,7 +195,6 @@ def conditional_distance(
     eta: float,
     *,
     metric: str = "exact",
-    stream: Optional[NoiseStream] = None,
 ) -> float:
     """Discounted sup of the across-path power mean of flow distances.
 
@@ -207,7 +215,7 @@ def conditional_distance(
         raise ConfigurationError("flow grids differ; distances need a common grid")
     best = 0.0
     for idx, t in enumerate(times):
-        vals = [_w_auto(new.clouds[idx], old.clouds[idx], beta, metric, stream)
+        vals = [_w_auto(new.clouds[idx], old.clouds[idx], beta, metric)
                 for new, old in zip(new_flows, old_flows)]
         if all(v == vals[0] for v in vals):
             avg = vals[0]
@@ -226,7 +234,6 @@ def flow_distance(
     gamma: float = 0.0,
     *,
     metric: str = "exact",
-    stream: Optional[NoiseStream] = None,
 ) -> float:
     """Discounted uniform distance ``sup_t e^(-gamma t) W_beta(mu_t, nu_t)``.
 
@@ -235,4 +242,4 @@ def flow_distance(
     fixed-point driver uses a positive discount, under which the
     law-to-path map is a contraction.
     """
-    return conditional_distance([flow_a], [flow_b], beta, gamma, metric=metric, stream=stream)
+    return conditional_distance([flow_a], [flow_b], beta, gamma, metric=metric)

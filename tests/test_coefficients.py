@@ -5,6 +5,7 @@ import pytest
 
 from levyfield.coefficients import (
     FAMILIES,
+    CoefficientSet,
     build_cubic_interaction,
     build_frozen,
     build_linear_meanfield,
@@ -137,6 +138,17 @@ def test_coefficient_set_validation():
         build_cubic_interaction(make_levy(), dim=0, beta=2.0)
     with pytest.raises(ConfigurationError):
         build_linear_meanfield(small_only_levy(), dim=1, beta=2.5)
+
+
+@pytest.mark.parametrize("band, compensator", [("small_jump", "small_compensator"),
+                                                ("common_small", "common_small_compensator")])
+def test_a_compensated_band_needs_its_closed_form_compensator(band, compensator):
+    # the engine subtracts the closed-form compensator; there is no sampled fallback
+    jump = {band: lambda X, Z, ctx=None: Z}
+    with pytest.raises(ConfigurationError, match=compensator):
+        CoefficientSet(name="open", dim=1, beta=2.0, drift=lambda X, ctx: -X, **jump)
+    CoefficientSet(name="closed", dim=1, beta=2.0, drift=lambda X, ctx: -X,
+                   **jump, **{compensator: lambda X, ctx, levy: np.zeros_like(X)})
 
 
 def test_family_registry_round_trip():

@@ -208,6 +208,16 @@ def test_kind_specific_experiment_checks():
         validate_and_build(checks)
 
 
+@pytest.mark.parametrize("name", ["simulate_cubic", "common_simulate"])
+def test_record_paths_is_rejected_where_no_output_reads_it(name):
+    # the simulate outputs are a time series and a final cloud: no path is ever written
+    cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+    validate_and_build(cfg)
+    cfg["experiment"]["record_paths"] = True
+    with pytest.raises(ConfigurationError, match="record_paths"):
+        validate_and_build(cfg)
+
+
 def test_two_layer_property_reflects_common_block():
     spec = validate_and_build(_quick_cfg())
     assert spec.common is None and spec.two_layer.common.small_rate == 0.0

@@ -13,6 +13,7 @@ import pytest
 from scipy import stats
 
 from levyfield.chaos import PoCConfig, strong_poc_replication
+from levyfield.common_noise import CommonRealization
 from levyfield.coefficients import CoefficientSet, build_cubic_interaction, build_frozen, build_linear_meanfield
 from levyfield.errors import ConfigurationError, DivergenceError, NonConvergenceError
 from levyfield.initial import normal_initial, point_initial, uniform_box_initial
@@ -22,6 +23,8 @@ from levyfield.solver import (
     SolverConfig,
     TimeGrid,
     _draw_tape,
+    _Events,
+    _EventTape,
     _event_sums,
     _simulate_system,
     picard_fixed_point,
@@ -195,6 +198,39 @@ def test_observer_sees_every_uniform_grid_time():
     assert [k for k, _, _ in seen] == list(range(GRID.n_steps + 1))
     assert all(shape == (3, 1) for _, _, shape in seen)
     assert np.allclose([t for _, t, _ in seen], GRID.times)
+
+
+def test_every_segment_sums_in_one_order():
+    # one step (0, 1]: particle 0 has its own small events, common small events and a
+    # big event at 0.5 that ends its first window; particle 1 has no breakpoint
+    b, c, c0 = (lambda x: 0.1 - 0.7 * x), (lambda x: 0.37 * x + 0.11), (lambda x: 0.13 * x - 0.07)
+    f, f0 = (lambda x, z: 0.3 * x * z + z), (lambda x, z: 0.2 * x * z + 0.05 * z)
+    coeffs = CoefficientSet(
+        name="order", dim=1, beta=2.0, drift=lambda X, ctx: b(X), small_jump=lambda X, Z, ctx: f(X, Z),
+        big_jump=lambda X, Z, ctx: X * Z, small_compensator=lambda X, ctx, lv: c(X),
+        common_small=f0, common_small_compensator=lambda X, ctx, lv: c0(X),
+    )
+    grid = TimeGrid.regular(1.0, 1.0)
+    small = _Events(np.array([0, 0, 0, 1, 1]), np.array([0.2, 0.45, 0.8, 0.3, 0.9]),
+                    np.array([[0.3], [-0.6], [0.9], [0.5], [-0.25]]), np.array([0, 5]))
+    big = _Events(np.array([0]), np.array([0.5]), np.array([[1.7]]), np.array([0, 1]))
+    tape = _EventTape(np.array([[1.3], [-0.8]]), small, big)
+    common = CommonRealization(make_levy(big_rate=0.0), np.array([0.3, 0.4, 0.7]),
+                               np.array([[0.8], [-0.35], [0.6]]), np.empty(0), np.empty((0, 1)))
+    res = _simulate_system(coeffs, make_levy(), grid, tape, SolverConfig(), interacting=True, common=common)
+
+    def segment(x, dt, common_marks, own_marks):
+        out = x + dt * b(x)
+        out = out - dt * c(x)
+        out = out - dt * c0(x)
+        for z in common_marks:
+            out = out + f0(x, z)
+        return out + np.sum([f(x, z) for z in own_marks])
+
+    x0 = segment(1.3, 0.5, [0.8, -0.35], [0.3, -0.6])
+    x0 = segment(x0 + x0 * 1.7, 1.0 - 0.5, [0.6], [0.9])
+    x1 = segment(-0.8, 1.0, [0.8, -0.35, 0.6], [0.5, -0.25])
+    assert np.array_equal(res.final, np.array([[x0], [x1]]))
 
 
 # ---------------------------------------------------------------------------
