@@ -160,6 +160,8 @@ def build_cubic_interaction(
             f"cubic damping too weak: need c2 > 12 c3^2 c4^2 nu(|z|^2; U) = {bound:.6g}, got c2 = {c2}"
         )
 
+    if kernel != "identity" and not callable(kernel):
+        raise ConfigurationError(f"kernel must be 'identity' (or a Python callable), got {kernel!r}")
     identity_fast = kernel == "identity" and beta == 2.0
     if kernel == "identity":
         kernel_fn = lambda v: v

@@ -107,9 +107,9 @@ def sample_common_realization(
 ) -> CommonRealization:
     """Draw one common path from the context's dedicated common streams.
 
-    Each band is drawn like a tape's big band: by the block drawer over
-    the one-step grid ``[0, horizon]`` (count, then sorted uniform arrival
-    times, then marks), from its common layer at particle id 0.  A
+    Each band is drawn like a tape's band: by the block drawer on
+    ``(0, horizon]`` (count, then sorted uniform arrival times, then
+    marks), from its common layer at particle id 0.  A
     zero-rate band draws nothing, so deleting a band and zeroing its rate
     produce the same realization.
     """
@@ -119,7 +119,7 @@ def sample_common_realization(
     def events(band, layer):
         if band is None or band.rate == 0.0:
             return np.empty(0), np.empty((0, model.dim))
-        _, _, times, marks = _draw_block_events(stream_ctx.keys([0], layer), np.array([0.0, horizon]), band)
+        _, times, marks = _draw_block_events(stream_ctx.keys([0], layer), horizon, band)
         return times, marks
 
     u_times, u_marks = events(model.small, Layer.COMMON_SMALL)

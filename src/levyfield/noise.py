@@ -11,11 +11,12 @@ bands:
 
 Both bands are finite activity here: events on ``[0, T]`` arrive as a
 Poisson process with rate ``nu(band)`` and carry i.i.d. marks from the
-normalized restriction ``nu|_band / nu(band)``.  Under stream scheme 2
-(see :mod:`levyfield.streams`) every count, arrival time and mark of a
-band is a fixed transform of its stream's ``random()`` doubles, so the
-events of a whole block of streams are drawn at once
-(:func:`_draw_block_events`).
+normalized restriction ``nu|_band / nu(band)``.  Under stream scheme 3
+(see :mod:`levyfield.streams`) each band of a stream is one Poisson
+process on ``(0, T]``, drawn without reference to any time grid, and its
+count, arrival times and marks are fixed transforms of the stream's
+``random()`` doubles, so the events of a whole block of streams are drawn
+at once (:func:`_draw_block_events`).
 
 Well-posedness of the dynamics requires, for the integrability exponent
 ``beta`` in ``[1, 2]``, that ``nu(|z|^2 ; U)`` and ``nu(1 v |z|^beta ; V)``
@@ -314,7 +315,7 @@ _INVERSION_MEAN = 10.0  # counts of a larger mean are drawn by inversion
 
 
 def _no_events(dim):
-    return np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0), np.empty((0, dim))
+    return np.empty(0, dtype=int), np.empty(0), np.empty((0, dim))
 
 
 def _poisson_cdf(lam):
@@ -359,66 +360,62 @@ def _poisson_counts(block, lam):
     return counts
 
 
-def _arrival_times(u, t0, t1):
-    """Sorted, distinct arrival times on ``(t0, t1]`` from each row of doubles ``u``.
+def _arrival_times(u, horizon):
+    """Sorted, distinct arrival times on ``(0, horizon]`` from each row of doubles ``u``.
 
     Given its count, a Poisson process's arrivals are uniform order
-    statistics; a (probability-zero) time at ``t0`` or a tie is nudged up
-    by one ulp.
+    statistics; a (probability-zero) time at 0 or a tie is nudged up by
+    one ulp.
     """
-    times = np.sort(t0 + (t1 - t0) * u, axis=1)
-    times[times == t0] = np.nextafter(t0, t1)
+    times = np.sort(horizon * u, axis=1)
+    times[times == 0.0] = np.nextafter(0.0, horizon)
     for i in range(1, times.shape[1]):
         tie = times[:, i] <= times[:, i - 1]
         times[tie, i] = np.nextafter(times[tie, i - 1], math.inf)
     return times
 
 
-def _draw_block_steps(block, grid_times, band):
-    """Events of ``band`` on every step of ``grid_times`` for the streams of ``block``.
+def _draw_chunk(block, horizon, band):
+    """Events of ``band`` on ``(0, horizon]`` for the streams of ``block``.
 
-    Per step, every stream draws its count, then its arrival times, then
-    the ``uniforms`` blocks of its marks, one block of ``count`` doubles
-    after another.  Returns ``(row, step, time, mark)`` in (step, row,
-    time) order.
+    Every stream draws its count, then its arrival times, then the
+    ``uniforms`` blocks of its marks, one block of ``count`` doubles after
+    another.  Returns ``(row, time, mark)`` in (row, time) order.
     """
     sampler = band.sampler
     out = [_no_events(sampler.dim)]
-    for k in range(grid_times.size - 1):
-        t0, t1 = float(grid_times[k]), float(grid_times[k + 1])
-        counts = _poisson_counts(block, band.rate * (t1 - t0))
-        hit = np.flatnonzero(counts)
-        for c in np.unique(counts[hit]):
-            rows = hit[counts[hit] == c]
-            times = _arrival_times(block.doubles(rows, c), t0, t1)
-            u = block.doubles(rows, sampler.uniforms * c).reshape(rows.size, sampler.uniforms, c)
-            marks = sampler.from_uniforms(u.transpose(1, 0, 2).reshape(sampler.uniforms, rows.size * c))
-            out.append((np.repeat(rows, c), np.full(rows.size * c, k), times.ravel(), marks))
-    row, step, time, mark = (np.concatenate(column) for column in zip(*out))
-    order = np.lexsort((row, step))
-    return row[order], step[order], time[order], mark[order]
+    counts = _poisson_counts(block, band.rate * horizon)
+    hit = np.flatnonzero(counts)
+    for c in np.unique(counts[hit]):
+        rows = hit[counts[hit] == c]
+        times = _arrival_times(block.doubles(rows, c), horizon)
+        u = block.doubles(rows, sampler.uniforms * c).reshape(rows.size, sampler.uniforms, c)
+        marks = sampler.from_uniforms(u.transpose(1, 0, 2).reshape(sampler.uniforms, rows.size * c))
+        out.append((np.repeat(rows, c), times.ravel(), marks))
+    row, time, mark = (np.concatenate(column) for column in zip(*out))
+    # each row's events are one sorted run, so a stable sort by row keeps them in time order
+    order = np.argsort(row, kind="stable")
+    return row[order], time[order], mark[order]
 
 
-def _draw_block_events(keys, grid_times, band):
-    """Events of ``band`` on every step of ``grid_times`` for the streams keyed by ``keys``.
+def _draw_block_events(keys, horizon, band):
+    """Events of ``band`` on ``(0, horizon]`` for the streams keyed by ``keys``.
 
-    Row ``j`` is stream ``keys[j]`` read step after step as
-    :func:`_draw_block_steps` describes.  The streams are drawn
-    :data:`_CHUNK_ROWS` at a time, so the raw outputs held at once stay
-    bounded.  Returns ``(row, step, time, mark)`` in (step, row, time)
-    order.
+    Row ``j`` is stream ``keys[j]`` read as :func:`_draw_chunk`
+    describes: one Poisson process over the whole interval, whatever grid
+    a solver later puts on it.  The streams are drawn :data:`_CHUNK_ROWS`
+    at a time, so the raw outputs held at once stay bounded.  Returns
+    ``(row, time, mark)`` in (row, time) order.
     """
-    lam = band.rate * float(grid_times[-1] - grid_times[0])
+    lam = band.rate * horizon
     per_event = 2 + band.sampler.uniforms
     # enough for nearly every stream of a chunk; a longer one grows the buffer
-    words = int(grid_times.size - 1 + per_event * (lam + 6.0 * math.sqrt(lam) + 4.0))
+    words = int(1 + per_event * (lam + 6.0 * math.sqrt(lam) + 4.0))
     parts = [_no_events(band.sampler.dim)]
     for a in range(0, keys.shape[0], _CHUNK_ROWS):
-        row, step, time, mark = _draw_block_steps(StreamBlock(keys[a:a + _CHUNK_ROWS], words), grid_times, band)
-        parts.append((row + a, step, time, mark))
-    row, step, time, mark = (np.concatenate(column) for column in zip(*parts))
-    order = np.argsort(step, kind="stable")
-    return row[order], step[order], time[order], mark[order]
+        row, time, mark = _draw_chunk(StreamBlock(keys[a:a + _CHUNK_ROWS], words), horizon, band)
+        parts.append((row + a, time, mark))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 # ---------------------------------------------------------------------------

@@ -43,14 +43,15 @@ so the reductions to the single-layer model are structural, bit for bit.
 Randomness discipline: each particle owns one stream per noise layer
 (initial draw, small band, big band), addressed by particle id.  The
 noise of a stream block is drawn once into an event tape before any
-state moves: per particle the initial draw, then the small-band events
-step by step over the uniform grid, then the big-band events for the
-whole horizon.  A run only reads its tape, so runs that share streams
-share one tape: the coupled pair, every particle count of a replication
-(a prefix of the largest count's tape), and every pass of a
-common-random-numbers fixed point.  Each layer of a tape is drawn for
-all its particles at once from the raw Philox outputs of their streams
-(:class:`~levyfield.streams.StreamBlock`): under stream scheme 2 every
+state moves: per particle the initial draw, then the small-band and the
+big-band events, each band one Poisson process on ``(0, T]`` filed under
+the uniform step holding each arrival, so the same at every step size.
+A run only reads its tape, so runs that share streams share one tape:
+the coupled pair, every particle count of a replication (a prefix of the
+largest count's tape), and every pass of a common-random-numbers fixed
+point.  Each layer of a tape is drawn for all its particles at once from
+the raw Philox outputs of their streams
+(:class:`~levyfield.streams.StreamBlock`): under stream scheme 3 every
 initial state and event is a fixed transform of the stream's ``random()``
 doubles, so a stream yields exactly what a scalar reading of its own
 generator makes of it.  Neither schedule nor particle count ever
@@ -293,11 +294,12 @@ class _Events:
     offsets: np.ndarray
 
     @staticmethod
-    def from_draws(row, step, time, mark, n_steps) -> "_Events":
-        """Events from flat draws in (row, time) order within each step."""
+    def on_grid(row, time, mark, grid_times) -> "_Events":
+        """Events drawn in (row, time) order, each filed under the uniform step ``(t_k, t_{k+1}]`` holding it."""
+        step = np.searchsorted(grid_times, time, side="left") - 1
         # a stable sort by step keeps each step's events in (row, time) order
         order = np.argsort(step, kind="stable")
-        return _Events(row[order], time[order], mark[order], np.searchsorted(step[order], np.arange(n_steps + 1)))
+        return _Events(row[order], time[order], mark[order], np.searchsorted(step[order], np.arange(grid_times.size)))
 
     def at(self, k):
         a, b = self.offsets[k], self.offsets[k + 1]
@@ -355,9 +357,8 @@ def _draw_tape(
     drawn only when it is live and the coefficients use it.
 
     Every layer is drawn for all particles at once from their streams'
-    doubles: the initial law's ``uniforms`` doubles per particle, the
-    small band over the uniform grid and the big band over the one-step
-    grid ``[0, T]``.
+    doubles: the initial law's ``uniforms`` doubles per particle, and each
+    band as one Poisson process on ``(0, T]``, independent of the step.
     """
     d = coeffs.dim
     if levy.dim != d:
@@ -371,18 +372,13 @@ def _draw_tape(
     else:
         x0 = np.array(initial, dtype=float).reshape(n, d)
 
-    times = grid.times
-    small = big = None
-    if levy.small is not None and levy.small.rate > 0.0 and coeffs.small_jump is not None:
-        row, step, time, mark = _draw_block_events(stream_ctx.keys(ids, Layer.SMALL), times, levy.small)
-        small = _Events.from_draws(row, step, time, mark, grid.n_steps)
-    if levy.big is not None and levy.big.rate > 0.0 and coeffs.big_jump is not None:
-        row, _, time, mark = _draw_block_events(
-            stream_ctx.keys(ids, Layer.BIG), np.array([0.0, grid.horizon]), levy.big
-        )
-        # uniform step (t_k, t_{k+1}] holding each arrival
-        step = np.searchsorted(times, time, side="left") - 1
-        big = _Events.from_draws(row, step, time, mark, grid.n_steps)
+    def band_events(band, layer):
+        if band is None or band.rate == 0.0:
+            return None
+        return _Events.on_grid(*_draw_block_events(stream_ctx.keys(ids, layer), grid.horizon, band), grid.times)
+
+    small = band_events(levy.small, Layer.SMALL) if coeffs.small_jump is not None else None
+    big = band_events(levy.big, Layer.BIG) if coeffs.big_jump is not None else None
     return _EventTape(x0, small, big)
 
 

@@ -20,16 +20,18 @@ block of particles, one cursor per stream, without building a generator
 per particle.
 
 :data:`STREAM_SCHEME` names the map from addresses to draws.  Under
-scheme 2, every draw of a particle or common layer (INIT, SMALL, BIG,
+scheme 3, every draw of a particle or common layer (INIT, SMALL, BIG,
 COMMON_SMALL, COMMON_BIG) is a fixed transform of its stream's
 ``random()`` doubles, read in order: normals by Box-Muller
-(:func:`standard_normals`), exponential radii by ``-log1p(-u)``, Poisson
-counts by multiplication below mean 10 and by inversion above, uniform
-arrival times and marks through the samplers' ``from_uniforms``.  So a
+(:func:`standard_normals`), exponential radii by ``-log1p(-u)``, and
+each band one Poisson process on ``(0, T]``, whatever the time grid: a
+count (multiplication below mean 10, inversion above), then uniform
+arrival times, then marks through the samplers' ``from_uniforms``.  So a
 stream read one double at a time from ``NoiseStream(...).generator()``
-yields exactly what the block drawer makes of it.  AUX streams (checker
-trials, projections, Monte Carlo integrals) are still read through
-numpy's generator.
+yields exactly what the block drawer makes of it.  Scheme 2 drew SMALL
+with one count per uniform step; the other layers are unchanged.  AUX
+streams (checker trials, projections, Monte Carlo integrals) are still
+read through numpy's generator.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ MAX_REPLICA = (1 << _REPLICA_BITS) - 1
 MAX_PARTICLE = (1 << _PARTICLE_BITS) - 1
 
 # which draw each address yields; bumped whenever that map changes
-STREAM_SCHEME = 2
+STREAM_SCHEME = 3
 
 # Philox4x64-10 constants: round multipliers and key increments
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))

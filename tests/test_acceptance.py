@@ -303,7 +303,7 @@ def test_criterion_09_noise_statistics(capsys):
     )
     reps, lam = 10_000, 2.0
     keys = StreamContext(seed=11, experiment=0, replica=0).keys(np.arange(reps), Layer.BIG)
-    row = _draw_block_events(keys, np.array([0.0, 1.0]), model.big)[0]
+    row = _draw_block_events(keys, 1.0, model.big)[0]
     counts = np.bincount(row, minlength=reps)
     kmax = int(counts.max())
     observed = np.bincount(counts, minlength=kmax + 1).astype(float)

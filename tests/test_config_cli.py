@@ -426,6 +426,14 @@ def test_slack_must_be_a_nonnegative_number(tmp_path, monkeypatch, kind):
     _rejected_by_validation(tmp_path, monkeypatch, cfg, "slack")
 
 
+@pytest.mark.parametrize("kernel", ["gaussian", 3])
+def test_cubic_kernel_other_than_identity_is_rejected(tmp_path, monkeypatch, kernel):
+    # a config cannot give a callable; any other kernel used to pass and end in an uncaught TypeError
+    cfg = load_config(CONFIG_DIR / "simulate_cubic.yaml")
+    cfg["model"]["params"]["kernel"] = kernel
+    _rejected_by_validation(tmp_path, monkeypatch, cfg, "kernel")
+
+
 def test_unknown_band_key_is_rejected():
     cfg = _quick_cfg()
     cfg["noise"]["small"]["rte"] = 3

@@ -14,7 +14,7 @@ from levyfield import noise
 from levyfield.errors import ConfigurationError, IntegrabilityError
 from levyfield.noise import (
     _draw_block_events,
-    _draw_block_steps,
+    _draw_chunk,
     _poisson_counts,
     AnnulusUniform,
     FixedMark,
@@ -24,6 +24,8 @@ from levyfield.noise import (
     no_noise,
     nu_expectation,
 )
+from levyfield.coefficients import build_linear_meanfield
+from levyfield.solver import TimeGrid, _draw_tape, _Events
 from levyfield.streams import Layer, NoiseStream, StreamBlock, StreamContext
 
 from levyfield_testkit import make_levy
@@ -33,14 +35,14 @@ def _stream(seed=0, particle=0, layer=Layer.BIG):
     return NoiseStream(seed=seed, experiment=0, replica=0, particle=particle, layer=layer)
 
 
-def _block_events(seed, n, grid_times, band, layer=Layer.BIG):
-    """Events of particles ``0..n-1`` of block ``(seed, 0, 0)`` from the block drawer."""
+def _block_events(seed, n, horizon, band, layer=Layer.BIG):
+    """Events of particles ``0..n-1`` of block ``(seed, 0, 0)`` on ``(0, horizon]`` from the block drawer."""
     keys = StreamContext(seed=seed).keys(np.arange(n), layer)
-    return _draw_block_events(keys, np.asarray(grid_times, dtype=float), band)
+    return _draw_block_events(keys, horizon, band)
 
 
 # ---------------------------------------------------------------------------
-# scalar reference of stream scheme 2
+# scalar reference of stream scheme 3
 # ---------------------------------------------------------------------------
 
 
@@ -86,12 +88,12 @@ def _scalar_marks(sampler, u):
     return _scalar_directions(u[1:], d) * radius[:, None]
 
 
-def _scalar_events(stream, grid_times, band):
-    """Scheme 2 on one stream, read one ``random()`` double at a time.
+def _scalar_events(stream, horizon, band):
+    """Scheme 3 on one stream, read one ``random()`` double at a time.
 
-    Per step: the count, then its arrival times, then the mark doubles,
-    one block of ``count`` per mark uniform.  Also returns how many
-    doubles were read.
+    One count over ``(0, horizon]``, then its arrival times, then the mark
+    doubles, one block of ``count`` per mark uniform.  Also returns how
+    many doubles were read.
     """
     gen = stream.generator()
     reads = 0
@@ -101,19 +103,14 @@ def _scalar_events(stream, grid_times, band):
         reads += 1
         return gen.random()
 
-    steps, times, marks = [], [], []
-    for k in range(grid_times.size - 1):
-        t0, t1 = float(grid_times[k]), float(grid_times[k + 1])
-        count = _scalar_count(next_u, band.rate * (t1 - t0))
-        t = sorted(t0 + (t1 - t0) * next_u() for _ in range(count))
-        for i in range(count):
-            if t[i] == t0 or (i and t[i] <= t[i - 1]):
-                t[i] = math.nextafter(t[i - 1] if i else t0, math.inf)
-        u = np.array([[next_u() for _ in range(count)] for _ in range(band.sampler.uniforms)])
-        steps += [k] * count
-        times += t
-        marks.append(_scalar_marks(band.sampler, u.reshape(band.sampler.uniforms, count)))
-    return np.array(steps, dtype=int), np.array(times), np.concatenate(marks), reads
+    count = _scalar_count(next_u, band.rate * horizon)
+    t = sorted(horizon * next_u() for _ in range(count))
+    for i in range(count):
+        if t[i] == 0.0 or (i and t[i] <= t[i - 1]):
+            t[i] = math.nextafter(t[i - 1] if i else 0.0, math.inf)
+    u = np.array([[next_u() for _ in range(count)] for _ in range(band.sampler.uniforms)])
+    marks = _scalar_marks(band.sampler, u.reshape(band.sampler.uniforms, count))
+    return np.array(t), marks, reads
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +122,7 @@ def test_big_jump_counts_pass_chi_square_against_poisson():
     model = make_levy(big_rate=2.0)
     lam = 2.0  # rate * horizon with T=1
     reps = 10_000
-    counts = np.bincount(_block_events(11, reps, [0.0, 1.0], model.big)[0], minlength=reps)
+    counts = np.bincount(_block_events(11, reps, 1.0, model.big)[0], minlength=reps)
     kmax = int(counts.max())
     observed = np.bincount(counts, minlength=kmax + 1).astype(float)
     expected = np.array([math.exp(-lam) * lam**k / math.factorial(k) for k in range(kmax + 1)])
@@ -144,7 +141,7 @@ def test_big_jump_counts_pass_chi_square_against_poisson():
 def test_mean_and_variance_of_big_jump_counts():
     model = make_levy(big_rate=2.0)
     reps = 10_000
-    counts = np.bincount(_block_events(12, reps, [0.0, 1.0], model.big)[0], minlength=reps)
+    counts = np.bincount(_block_events(12, reps, 1.0, model.big)[0], minlength=reps)
     se = math.sqrt(2.0 / reps)
     assert abs(counts.mean() - 2.0) < 3 * se
     assert abs(counts.var() - 2.0) < 0.15
@@ -170,7 +167,7 @@ def test_mark_radii_pass_ks_against_declared_radial_law(sampler):
 
 def test_gap_lengths_and_mark_norms_are_uncorrelated():
     model = make_levy(big_rate=5.0)
-    row, _, time, mark = _block_events(14, 2000, [0.0, 1.0], model.big)
+    row, time, mark = _block_events(14, 2000, 1.0, model.big)
     gaps, norms = [], []
     for i in range(2000):
         times = list(time[row == i])
@@ -190,8 +187,8 @@ def test_zero_rate_band_yields_no_events():
     band = LevyBand(0.0, AnnulusUniform(1, 1.0, 2.0))
     keys = StreamContext(seed=0).keys(np.arange(4), Layer.BIG)
     block = StreamBlock(keys)
-    row, step, time, mark = _draw_block_steps(block, np.array([0.0, 10.0]), band)
-    assert row.size == step.size == time.size == 0 and mark.shape == (0, 1)
+    row, time, mark = _draw_chunk(block, 10.0, band)
+    assert row.size == time.size == 0 and mark.shape == (0, 1)
     # like numpy's poisson(0), a zero rate draws nothing from the streams
     assert np.array_equal(block.pos, np.zeros(4))
     assert np.array_equal(no_noise(1).small_mean_measure(), np.zeros(1))
@@ -199,8 +196,7 @@ def test_zero_rate_band_yields_no_events():
 
 def test_big_jump_times_sorted_and_marks_outside_split():
     model = make_levy(big_rate=4.0, split=1.0, big_hi=3.0)
-    row, step, time, mark = _block_events(15, 50, [0.0, 2.0], model.big)
-    assert np.all(step == 0)
+    row, time, mark = _block_events(15, 50, 2.0, model.big)
     for i in range(50):
         assert np.all(np.diff(time[row == i]) > 0)
     assert np.all((0.0 < time) & (time <= 2.0))
@@ -209,13 +205,29 @@ def test_big_jump_times_sorted_and_marks_outside_split():
 
 def test_small_band_events_stay_inside_their_step():
     model = make_levy(small_rate=30.0)
-    grid_times = np.array([0.2, 0.45, 0.7])
-    row, step, time, mark = _block_events(0, 40, grid_times, model.small, layer=Layer.SMALL)
-    assert row.size > 0
-    assert np.all((grid_times[step] < time) & (time <= grid_times[step + 1]))
-    assert np.all(np.linalg.norm(mark, axis=1) <= 1.0)
+    coeffs = build_linear_meanfield(model, dim=1, beta=2.0, a=1.0, c=0.5, gamma_f=0.2)
+    grid = TimeGrid.regular(1.0, 0.25)
+    small = _draw_tape(coeffs, model, grid, StreamContext(seed=0), np.zeros((40, 1)), 40).small
+    assert small.row.size > 0
+    step = np.repeat(np.arange(grid.n_steps), np.diff(small.offsets))
+    assert np.all((grid.times[step] < small.time) & (small.time <= grid.times[step + 1]))
+    assert np.all(np.linalg.norm(small.mark, axis=1) <= 1.0)
     # (step, row, time) order
-    assert np.all(np.lexsort((time, row, step)) == np.arange(row.size))
+    assert np.all(np.lexsort((small.time, small.row, step)) == np.arange(small.row.size))
+
+
+def test_an_arrival_on_a_grid_time_belongs_to_the_step_it_ends():
+    grid_times = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    tiny = np.nextafter(0.0, 1.0)
+    # drawn in (row, time) order
+    row = np.array([0, 0, 0, 1, 1])
+    time = np.array([0.25, 0.3, 1.0, tiny, 0.5])
+    events = _Events.on_grid(row, time, np.arange(5.0)[:, None], grid_times)
+    # steps (0, .25], (.25, .5], (.5, .75], (.75, 1]: t_k itself ends step k - 1
+    assert np.array_equal(events.offsets, [0, 2, 4, 4, 5])
+    assert np.array_equal(events.row, [0, 1, 0, 1, 0])
+    assert np.array_equal(events.time, [0.25, tiny, 0.3, 0.5, 1.0])
+    assert np.array_equal(events.mark[:, 0], [0, 3, 1, 4, 2])
 
 
 _SAMPLERS = [
@@ -225,23 +237,23 @@ _SAMPLERS = [
 ]
 
 
-@pytest.mark.parametrize("rate", [0.5, 30.0, 900.0])  # 900 * 0.02 >= 10 takes the inversion
-def test_step_events_equal_drawing_step_by_step(rate, monkeypatch):
+# on (0, 1] the means are 0.5, 30 and 900; on (0, 0.01] they are 0.005, 0.3 and 9,
+# so both the multiplication (below 10) and the inversion are reached
+@pytest.mark.parametrize("rate", [0.5, 30.0, 900.0])
+def test_block_events_equal_reading_each_stream_alone(rate, monkeypatch):
     # several chunks of streams, so rows are renumbered across chunks
     monkeypatch.setattr(noise, "_CHUNK_ROWS", 8)
     ctx = StreamContext(seed=17)
     ids = np.arange(20)
     for sampler in _SAMPLERS:
         band = LevyBand(rate, sampler)
-        # the uniform grid of the small band, and the one-step grid [0, T] of the big band
-        for grid_times in (np.linspace(0.0, 1.0, 51), np.array([0.0, 1.0])):
+        for horizon in (1.0, 0.01):
             keys = ctx.keys(ids, Layer.SMALL)
-            row, step, time, mark = _draw_block_events(keys, grid_times, band)
+            row, time, mark = _draw_block_events(keys, horizon, band)
             block = StreamBlock(keys)
-            _draw_block_steps(block, grid_times, band)
+            _draw_chunk(block, horizon, band)
             for j in ids:
-                want_step, want_time, want_mark, reads = _scalar_events(ctx.stream(int(j), Layer.SMALL), grid_times, band)
-                assert np.array_equal(step[row == j], want_step)
+                want_time, want_mark, reads = _scalar_events(ctx.stream(int(j), Layer.SMALL), horizon, band)
                 assert np.array_equal(time[row == j], want_time)
                 assert np.array_equal(mark[row == j], want_mark)
                 assert block.pos[j] == reads
@@ -280,8 +292,8 @@ def test_inverted_poisson_counts_pass_chi_square(lam):
 
 def test_same_stream_reproduces_identical_event_sequences():
     model = make_levy(big_rate=3.0)
-    a = _block_events(16, 30, [0.0, 1.0], model.big)
-    b = _block_events(16, 30, [0.0, 1.0], model.big)
+    a = _block_events(16, 30, 1.0, model.big)
+    b = _block_events(16, 30, 1.0, model.big)
     assert a[0].size > 0
     for ea, eb in zip(a, b):
         assert np.array_equal(ea, eb)

@@ -174,6 +174,51 @@ def test_grid_refinement_order_on_the_linear_model():
     assert slope >= 0.8, f"measured strong order {slope:.3f} < 0.8"
 
 
+def _small_events_in_draw_order(tape):
+    """The tape's small-band ``(row, time, mark)`` in (row, time) order, whatever its grid."""
+    small = tape.small
+    order = np.lexsort((small.time, small.row))
+    return small.row[order], small.time[order], small.mark[order]
+
+
+def test_small_band_events_do_not_depend_on_the_step():
+    levy = make_levy(small_rate=20.0, big_rate=0.0)
+    coeffs = build_frozen(levy, dim=1, beta=2.0, a=1.0, gamma_f=0.3)
+    drawn = [
+        _small_events_in_draw_order(_draw_tape(coeffs, levy, TimeGrid.regular(1.0, h), CTX, INIT, 16))
+        for h in (0.02, 0.01, 0.005)
+    ]
+    assert drawn[0][0].size > 0
+    for other in drawn[1:]:
+        for a, b in zip(drawn[0], other):
+            assert np.array_equal(a, b)
+
+
+def test_strong_order_in_h_on_one_small_band():
+    # dx = -a x dt + gamma_f dL~: symmetric marks leave a zero compensator, and the
+    # exact end state is x0 e^{-aT} + gamma_f sum_i e^{-a(T - t_i)} z_i over the events
+    levy = small_only_levy(rate=5.0)
+    a, gamma_f, x0, n = 1.0, 0.5, 1.0, 64
+    coeffs = build_frozen(levy, dim=1, beta=2.0, a=a, gamma_f=gamma_f)
+    errors, steps, first = [], [], None
+    for k in range(6, 11):
+        h = 2.0**-k
+        grid = TimeGrid.regular(1.0, h)
+        tape = _draw_tape(coeffs, levy, grid, CTX, np.full((n, 1), x0), n)
+        row, time, mark = _small_events_in_draw_order(tape)
+        if first is None:
+            first = (row, time, mark)
+            assert row.size > n
+        assert all(np.array_equal(u, v) for u, v in zip(first, (row, time, mark)))
+        exact = x0 * math.exp(-a) + gamma_f * np.bincount(row, np.exp(-a * (1.0 - time)) * mark[:, 0], minlength=n)
+        flow = MeasureFlow.constant(grid.times, EmpiricalMeasure(np.zeros((2, 1))))
+        final = _simulate_system(coeffs, levy, grid, tape, SolverConfig(), flow=flow).final[:, 0]
+        errors.append(float(np.mean(np.abs(final - exact))))
+        steps.append(h)
+    slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
+    assert slope >= 0.8, f"measured strong order {slope:.3f} < 0.8"
+
+
 def test_divergence_error_reports_time_and_particle():
     levy = no_noise(1)
 
