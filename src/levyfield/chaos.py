@@ -47,9 +47,9 @@ from .solver import (
     PicardResult,
     SolverConfig,
     TimeGrid,
+    _coupled,
     _draw_tape,
     _simulate_system,
-    simulate_coupled,
     simulate_particle_system,
 )
 from .streams import EXP_FRESH_COPIES, EXP_MAIN, EXP_REFERENCE, StreamContext
@@ -235,8 +235,7 @@ def _reference_flows(coeffs, levy, grid, initial_sampler, solver_cfg, poc_cfg, s
     ctx = StreamContext(seed=seed, experiment=EXP_REFERENCE, replica=0)
     tape = _draw_tape(coeffs, levy, grid, ctx, initial_sampler, m_ref)
     return [
-        _simulate_system(coeffs, levy, grid, tape, solver_cfg, interacting=True, common=common,
-                         collect_clouds=True).flow
+        _simulate_system(coeffs, levy, grid, [(tape, None)], solver_cfg, common=common, collect_clouds=True)[0].flow
         for common in commons
     ]
 
@@ -268,7 +267,9 @@ def weak_poc_replication(
 
     This is the unit of work the job queue distributes; it touches only
     streams addressed by ``replica``, so results are independent of how
-    replications are batched over workers.
+    replications are batched over workers.  ``reference_flow`` is the
+    reference :class:`~levyfield.measures.MeasureFlow` or its prepared
+    law table (``solver._law_table``), which is what workers receive.
     """
     return _coupling_replication(
         coeffs, levy, grid, initial_sampler, poc_cfg, solver_cfg, seed, replica, reference_flow, None
@@ -281,40 +282,38 @@ def _coupling_replication(
     """Map n -> :func:`coupling_terms` along the n-grid, every run inside ``common`` (or none).
 
     The tapes of the replica's main and fresh-copy blocks are drawn once
-    for the largest particle count, and the limit copies against
-    ``reference_flow`` run once on each: the coupled copies on the main
-    tape, the fresh copies on the fresh one.  Every count reads the
-    prefixes of both.
+    for the largest particle count.  One pass runs the interacting
+    system of every count on its prefix of the main tape, the coupled
+    limit copies against ``reference_flow`` on the whole main tape and
+    the fresh copies on the whole fresh one; every count reads the
+    prefixes of both copy blocks.
     """
     t_idx = _eval_index(grid, poc_cfg.eval_time)
-    tapes = [
+    main, fresh = (
         _draw_tape(coeffs, levy, grid, StreamContext(seed=seed, experiment=block, replica=replica),
                    initial_sampler, max(poc_cfg.n_grid))
         for block in (EXP_MAIN, EXP_FRESH_COPIES)
-    ]
-    copies = [
-        _simulate_system(coeffs, levy, grid, tape, solver_cfg, flow=reference_flow, collect_states=True, common=common)
-        for tape in tapes
-    ]
+    )
+    blocks = [(main.head(n), None) for n in poc_cfg.n_grid] + [(main, reference_flow), (fresh, reference_flow)]
+    *inters, limit, fresh_copies = _simulate_system(coeffs, levy, grid, blocks, solver_cfg, common=common,
+                                                    collect_states=True)
     return {
-        n: coupling_terms(coeffs, levy, grid, n, solver_cfg, poc_cfg.p, t_idx, tapes[0], copies, common=common)
-        for n in poc_cfg.n_grid
+        n: coupling_terms(n, poc_cfg.p, t_idx, inter, (limit, fresh_copies), common=common)
+        for n, inter in zip(poc_cfg.n_grid, inters)
     }
 
 
-def coupling_terms(coeffs, levy, grid, n, solver_cfg, p, t_idx, tape, copies, common=None):
+def coupling_terms(n, p, t_idx, inter, copies, common=None):
     """One (coupling, iid) pair of ``W_p^p`` terms at grid index ``t_idx`` for ``n`` particles.
 
-    The interacting cloud runs on the first ``n`` particles of ``tape``,
-    the replica's main tape; ``copies`` holds the coupled limit copies
-    (run on that tape) and the fresh ones, each cut here to their first
-    ``n`` rows.  With ``common`` set, the interacting run shares that one
-    realization with the copies, so the comparison stays inside a single
-    common path.
+    ``inter`` is the interacting run of ``n`` particles on the replica's
+    main tape; ``copies`` holds the coupled limit copies (run on that
+    tape) and the fresh ones, each cut here to their first ``n`` rows.
+    ``common`` is the realization all three ran inside (None: none), so
+    the comparison stays inside a single common path.  The terms read
+    only the states; the benchmark's tracer reads ``n`` and ``common``
+    from this call to count the work of each particle count.
     """
-    inter = _simulate_system(
-        coeffs, levy, grid, tape.head(n), solver_cfg, interacting=True, collect_states=True, common=common,
-    )
     limit, fresh = (run.head(n) for run in copies)
     coupling = w_p(inter.states[t_idx], limit.states[t_idx], p) ** p
     iid = w_p(limit.states[t_idx], fresh.states[t_idx], p) ** p
@@ -397,22 +396,18 @@ def strong_poc_replication(
     """Per-replication strong statistic ``mean_i sup_t |gap_i|^(p q1)`` on the n-grid.
 
     One tape of the replica's main streams, drawn for the largest count,
-    drives every coupled pair through its prefix; the limit copies run
-    once on the whole tape, and each pair reads their first n rows.
+    drives one pass: the interacting system of every count on its prefix
+    and the limit copies on the whole tape; each pair reads the copies'
+    first n rows.
     """
     ctx = StreamContext(seed=seed, experiment=EXP_MAIN, replica=replica)
     tape = _draw_tape(coeffs, levy, grid, ctx, initial_sampler, max(poc_cfg.n_grid))
-    limit = _simulate_system(
-        coeffs, levy, grid, tape, solver_cfg, flow=reference_flow, collect_states=True, record_paths=True
-    )
-    out = {}
-    for n in poc_cfg.n_grid:
-        coupled = simulate_coupled(
-            coeffs, n, initial_sampler, levy, grid, ctx, reference_flow, solver_cfg,
-            record_paths=True, tape=tape.head(n), limit=limit.head(n),
-        )
-        out[n] = float(np.mean(coupled.sup_errors ** (poc_cfg.p * poc_cfg.q1)))
-    return out
+    blocks = [(tape.head(n), None) for n in poc_cfg.n_grid] + [(tape, reference_flow)]
+    *inters, limit = _simulate_system(coeffs, levy, grid, blocks, solver_cfg, collect_states=True, record_paths=True)
+    return {
+        n: float(np.mean(_coupled(inter, limit.head(n)).sup_errors ** (poc_cfg.p * poc_cfg.q1)))
+        for n, inter in zip(poc_cfg.n_grid, inters)
+    }
 
 
 def run_strong_poc(

@@ -5,9 +5,18 @@ small-jump coefficient ``f``, the big-jump coefficient ``g``, and an
 optional common-noise pair ``(f0, g0)``.  All callables are vectorized:
 states arrive as ``(n, d)`` arrays, jump coefficients additionally get a
 matched ``(k, d)`` array of marks.  The measure argument is passed as a
-context object produced once per step by ``prepare(cloud)``, so families
-can precompute whatever cloud statistics they need (means, second
-moments) instead of touching the cloud per particle.
+context produced once per law by ``prepare(cloud)``, so families
+precompute the cloud statistics they need (means, second moments)
+instead of touching the cloud per particle.
+
+Law statistics are row-aligned: the engine runs several laws in one
+state array, so every callable gets one context per state row.  A family
+whose law enters through a few numbers returns them from ``prepare`` as
+a 1-D float vector; the engine stacks them as an ``(n, len)`` array, read
+on the last axis (``ctx[..., i]``, so one unstacked vector serves a whole
+batch too): the mean (linear), the mean and second moment (cubic, identity
+kernel at beta = 2), an empty vector (frozen).  Any other context comes
+as an object array, read row by row.
 
 Built-in families:
 
@@ -61,7 +70,9 @@ __all__ = [
 class CoefficientSet:
     """Vectorized coefficients of one measure-dependent jump SDE.
 
-    Callable signatures (``ctx`` is whatever ``prepare`` returned):
+    Callable signatures (``ctx`` is what ``prepare`` returned, or the
+    engine's row-aligned stack of such contexts, see the module
+    docstring):
 
     * ``drift(X, ctx) -> (n, d)``
     * ``small_jump(X, Z, ctx) -> (k, d)``  -- compensated band ``f``
@@ -119,15 +130,20 @@ def u_band_abs2_moment(levy: LevyModel) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _CloudStats:
-    mean: np.ndarray
-    abs2: float
-    cloud: EmpiricalMeasure
-
-
 def _sq_norms(X):
     return (X * X).sum(axis=1)
+
+
+def _per_law(fn):
+    """``fn(law)``, recomputed only when the Lévy model changes; a run hands in the same one every step."""
+    memo = [None, None]
+
+    def cached(law):
+        if memo[0] is not law:
+            memo[:] = law, fn(law)
+        return memo[1]
+
+    return cached
 
 
 def build_cubic_interaction(
@@ -149,7 +165,9 @@ def build_cubic_interaction(
 
     With the identity kernel and ``beta = 2`` the interaction reduces to
     cloud moments, ``T(x, mu)^2 = |x|^2 - 2 <x, mean(mu)> + mu(|y|^2)``,
-    which keeps the interacting system at O(n) per step instead of O(n^2).
+    which keeps the interacting system at O(n) per step instead of O(n^2);
+    ``prepare`` then returns the float vector ``(mean(mu), mu(|y|^2))``.
+    Any other kernel or beta prepares the cloud itself.
     """
     if min(c1, c2, c3, c4) <= 0:
         raise ConfigurationError(f"cubic constants must be positive, got {(c1, c2, c3, c4)}")
@@ -169,24 +187,29 @@ def build_cubic_interaction(
     else:
         kernel_fn = kernel
 
-    def prepare(mu: EmpiricalMeasure) -> _CloudStats:
-        return _CloudStats(mu.mean(), float(np.mean(_sq_norms(mu.points))), mu)
-
     if identity_fast:
 
-        def interaction(X, ctx: _CloudStats):
+        def prepare(mu: EmpiricalMeasure) -> np.ndarray:
+            return np.append(mu.mean(), np.mean(_sq_norms(mu.points)))
+
+        def interaction(X, ctx):
             # a row sum, not BLAS gemv: a row's value must not depend on its batch
-            t2 = _sq_norms(X) - 2.0 * (X * ctx.mean).sum(axis=1) + ctx.abs2
+            t2 = _sq_norms(X) - 2.0 * (X * ctx[..., :dim]).sum(axis=1) + ctx[..., dim]
             return np.sqrt(np.maximum(t2, 0.0))
 
     else:
 
-        def interaction(X, ctx: _CloudStats):
+        def prepare(mu: EmpiricalMeasure) -> EmpiricalMeasure:
+            return mu
+
+        def interaction(X, ctx):
+            clouds = ctx if isinstance(ctx, np.ndarray) else [ctx] * len(X)
             return np.array(
-                [interaction_term(ctx.cloud, x, kernel_fn, beta) for x in X], dtype=float
+                [interaction_term(mu, x, kernel_fn, beta) for x, mu in zip(X, clouds)], dtype=float
             )
 
     ones = np.ones(dim)
+    mean_measure = _per_law(LevyModel.small_mean_measure)
 
     def drift(X, ctx):
         return c1 * X - X * _sq_norms(X)[:, None] * c2 + interaction(X, ctx)[:, None] * ones
@@ -198,9 +221,8 @@ def build_cubic_interaction(
             return c3 * Z * scale[:, None]
 
         def small_compensator(X, ctx, levy_model):
-            m_u = levy_model.small_mean_measure()
             scale = 1.0 + c4 * _sq_norms(X) + interaction(X, ctx)
-            return c3 * scale[:, None] * m_u
+            return c3 * scale[:, None] * mean_measure(levy_model)
 
     else:
 
@@ -209,9 +231,8 @@ def build_cubic_interaction(
             return c3 * Z * scale[:, None]
 
         def small_compensator(X, ctx, levy_model):
-            m_u = levy_model.small_mean_measure()
             scale = 1.0 + c4 * _sq_norms(X)
-            return c3 * scale[:, None] * m_u
+            return c3 * scale[:, None] * mean_measure(levy_model)
 
     def big_jump(X, Z, ctx):
         scale = 1.0 + np.sqrt(_sq_norms(X)) + interaction(X, ctx)
@@ -245,6 +266,12 @@ def build_cubic_interaction(
 # ---------------------------------------------------------------------------
 
 
+def _constant_compensator(gamma):
+    """The compensator ``gamma nu(z; U)`` of ``f = gamma z``, the same for every row and step."""
+    compensator = _per_law(lambda law: gamma * law.small_mean_measure())
+    return lambda X, ctx, levy_model: np.broadcast_to(compensator(levy_model), X.shape)
+
+
 def build_linear_meanfield(
     levy: LevyModel,
     *,
@@ -260,7 +287,7 @@ def build_linear_meanfield(
 ) -> CoefficientSet:
     """Linear drift toward the cloud mean; see the module docstring."""
 
-    def prepare(mu: EmpiricalMeasure):
+    def prepare(mu: EmpiricalMeasure) -> np.ndarray:
         return mu.mean()
 
     def drift(X, mean):
@@ -273,9 +300,7 @@ def build_linear_meanfield(
         def small_jump(X, Z, mean):
             return gamma_f * Z
 
-        def small_compensator(X, mean, levy_model):
-            m_u = levy_model.small_mean_measure()
-            return np.broadcast_to(gamma_f * m_u, X.shape)
+        small_compensator = _constant_compensator(gamma_f)
 
     common_small = None
     common_small_compensator = None
@@ -284,9 +309,7 @@ def build_linear_meanfield(
         def common_small(X, Z):
             return gamma_f0 * Z
 
-        def common_small_compensator(X, mean, levy_model):
-            m_u = levy_model.small_mean_measure()
-            return np.broadcast_to(gamma_f0 * m_u, X.shape)
+        common_small_compensator = _constant_compensator(gamma_f0)
 
     common_big = None
     if gamma_g0 != 0.0:
@@ -336,8 +359,8 @@ def build_frozen(
 ) -> CoefficientSet:
     """Measure-independent linear coefficients; see the module docstring."""
 
-    def prepare(mu):
-        return None
+    def prepare(mu) -> np.ndarray:
+        return np.empty(0)
 
     def drift(X, ctx):
         return -a * X
@@ -349,9 +372,7 @@ def build_frozen(
         def small_jump(X, Z, ctx):
             return gamma_f * Z
 
-        def small_compensator(X, ctx, levy_model):
-            m_u = levy_model.small_mean_measure()
-            return np.broadcast_to(gamma_f * m_u, X.shape)
+        small_compensator = _constant_compensator(gamma_f)
 
     big_jump = None
     if gamma_g != 0.0:

@@ -33,7 +33,7 @@ class EmpiricalMeasure:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ConfigurationError(f"cloud must be a non-empty (n, d) array, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ConfigurationError("cloud contains non-finite points")
         pts.flags.writeable = False
         self.points = pts
@@ -46,7 +46,8 @@ class EmpiricalMeasure:
         return self.points.shape[1]
 
     def mean(self) -> np.ndarray:
-        return self.points.mean(axis=0)
+        # ndarray.mean's own sum and division without its call overhead (one mean per block and step)
+        return np.add.reduce(self.points, axis=0) / self.points.shape[0]
 
     def beta_norm(self, beta: float) -> float:
         return beta_norm(self, beta)

@@ -12,10 +12,10 @@ one path, :func:`_run_rate`: check the design against the model, build
 the reference, run the replications, and aggregate them with the kind's
 ``run_*`` function.  Replications are the unit of parallelism and
 :func:`_rate_chunk` is the one worker: it rebuilds the model from the
-raw config (coefficient closures do not cross process boundaries; flows
-and realizations do), and every replication draws from streams addressed
-by its own replica index, so outputs are byte-identical for any worker
-count.
+raw config (coefficient closures do not cross process boundaries; the
+reference's prepared law tables and the common realizations do), and
+every replication draws from streams addressed by its own replica index,
+so outputs are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .common_noise import (
 from .config import ExperimentSpec, RunManifest, validate_and_build
 from .errors import ConfigurationError, DivergenceError, IntegrabilityError, NonConvergenceError
 from .measures import EmpiricalMeasure
-from .solver import picard_fixed_point, resolve_gamma, simulate_particle_system
+from .solver import _law_table, picard_fixed_point, resolve_gamma, simulate_particle_system
 from .streams import EXP_MAIN, StreamContext
 
 __all__ = ["PASS", "FAIL", "ERROR", "run_experiment", "wasserstein_selftest"]
@@ -133,8 +133,8 @@ def _distribute(worker, payloads, jobs):
 def _rate_chunk(args):
     """Replication maps of one chunk of a rate experiment, in item order.
 
-    Items are (replica, its reference flow, its common realization or
-    None).  The replication functions are looked up in this module's
+    Items are (replica, the law table of its reference flow, its common
+    realization or None).  The replication functions are looked up in this module's
     namespace at call time, never through a table built at import, so a
     wrapper bound to one of their names here sees every call.
     """
@@ -228,14 +228,17 @@ def _run_rate(spec: ExperimentSpec, out: Path, jobs: int):
     _eval_index(spec.grid, pcfg.eval_time)  # an off-grid evaluation time fails before the reference
     if spec.kind == "strong-poc" and pcfg.q1 <= 0:
         raise ConfigurationError("strong experiments need q1 > 0")
+    # the replications read the reference only through its prepared laws, so they get those, not the clouds
     if spec.kind == "common-noise":
         ref = conditional_reference(spec.coeffs, spec.two_layer, spec.grid, spec.initial, pcfg,
                                     spec.solver, spec.seed)
-        items = list(zip(range(pcfg.replications), ref.flows, ref.realizations))
+        tables = [_law_table(spec.coeffs, flow, spec.grid) for flow in ref.flows]
+        items = list(zip(range(pcfg.replications), tables, ref.realizations))
     else:
         ref = reference_fixed_point(spec.coeffs, spec.initial, spec.levy, spec.grid,
                                     spec.solver, pcfg, spec.seed)
-        items = [(r, ref.flow, None) for r in range(pcfg.replications)]
+        table = _law_table(spec.coeffs, ref.flow, spec.grid)
+        items = [(r, table, None) for r in range(pcfg.replications)]
     payloads = [(spec.raw, chunk) for chunk in _chunks(items, jobs)]
     reps = _distribute(_rate_chunk, payloads, jobs)
     if spec.kind == "poc":

@@ -20,14 +20,19 @@ particles; a step with one crosses the breakpoints in rounds, round r
 moving every particle with an r-th breakpoint up to it, and ends with
 one segment of all particles to the step's end.
 
-Measure sources are the only difference between the drivers: a decoupled
-path reads a fixed :class:`~levyfield.measures.MeasureFlow`, the
-interacting system re-forms the cloud of current states at every uniform
-grid time (snapshot semantics: all particles read the same cloud no
-matter how the work is scheduled), and the fixed-point loop alternates
-the two, re-simulating one event tape (common random numbers) against
-the previous iterate's flow until the discounted flow distance stalls
-below tolerance.  Pass i of that loop is exact at grid times
+Every driver is one engine pass (:func:`_simulate_system`): a list of
+blocks, each a tape plus its law source, run as one stacked state array.
+A decoupled block reads a fixed :class:`~levyfield.measures.MeasureFlow`,
+prepared once per flow time; an interacting block re-forms the cloud of
+its own current states at every uniform grid time (snapshot semantics:
+all its particles read the same cloud however the work is scheduled).
+Each step stacks the blocks' prepared laws row by row and moves every
+row with one segment or one interlacing, so each block evolves bit for
+bit as it would alone.  A chaos replication is one pass over all its
+systems; a single system, a reference and a fixed-point pass are
+one-block passes.  The fixed-point loop re-simulates one event tape
+(common random numbers) against the previous iterate's flow until the
+discounted flow distance stalls below tolerance.  Pass i of that loop is exact at grid times
 ``t_0..t_i``, so its fixed point on a tape is the interacting system on
 the same tape, bit for bit.  A rate run's reference is therefore that
 one interacting run on the reserved reference streams; the loop serves
@@ -62,7 +67,8 @@ particle ids permutes the output paths, and the first ``n`` rows of a
 decoupled run on a tape are the decoupled run on the tape's first ``n``
 particles (every coefficient, compensator and event sum is evaluated row
 by row, and decoupled particles never see each other), so a replication
-runs its limit copies once, at its largest particle count.
+runs its limit copies once, at its largest particle count, as one block
+of the pass that also runs every count's interacting system.
 """
 
 from __future__ import annotations
@@ -222,11 +228,11 @@ class _Breakpoints:
             return _Breakpoints(grid_times, no_ints, no_ints, np.empty(0), no_ints, no_rows, no_rows, no_rows)
         return _Breakpoints(grid_times, *(np.concatenate(column) for column in zip(*rounds)))
 
-    def head(self, n) -> "_Breakpoints":
-        """The breakpoints of particles ``0..n-1``, still in application order."""
-        keep = self.row < n
-        return _Breakpoints(self.grid_times, self.step[keep], self.row[keep], self.time[keep], self.band[keep],
-                            self.mark[keep], self.increment[keep], self.state[keep])
+    def rows(self, start, stop) -> "_Breakpoints":
+        """The breakpoints of particles ``start..stop-1``, renumbered from 0, still in application order."""
+        keep = (self.row >= start) & (self.row < stop)
+        return _Breakpoints(self.grid_times, self.step[keep], self.row[keep] - start, self.time[keep],
+                            self.band[keep], self.mark[keep], self.increment[keep], self.state[keep])
 
     def paths(self, grid_states) -> list[PathSolution]:
         """Per-particle paths: the uniform-grid states with the breakpoints inserted."""
@@ -272,7 +278,7 @@ class SimResult:
         return SimResult(
             final=self.final[:n],
             states=self.states[:, :n] if self.states is not None else None,
-            _breakpoints=self._breakpoints.head(n) if self._breakpoints is not None else None,
+            _breakpoints=self._breakpoints.rows(0, n) if self._breakpoints is not None else None,
         )
 
 
@@ -309,6 +315,16 @@ class _Events:
         keep = self.row < n
         kept_before = np.concatenate([[0], np.cumsum(keep)])
         return _Events(self.row[keep], self.time[keep], self.mark[keep], kept_before[self.offsets])
+
+    @staticmethod
+    def stack(parts, starts, grid_times) -> Optional["_Events"]:
+        """The events of consecutive particle ranges as one, rows shifted by each range's start (None: no band).
+
+        Each step's events stay in (range, row, time) order, as :meth:`on_grid`'s stable sort keeps them.
+        """
+        live = [(events.row + start, events.time, events.mark) for events, start in zip(parts, starts)
+                if events is not None]
+        return _Events.on_grid(*map(np.concatenate, zip(*live)), grid_times) if live else None
 
 
 @dataclass(frozen=True)
@@ -410,8 +426,9 @@ def _event_sums(vals, owner):
 def _segment(coeffs, ctx, laws, x, delta, common, own):
     """Solve one frozen small-jump segment: the new states of ``x``.
 
-    Every coefficient sees ``x``, the states at the segment start, and
-    the sum runs in one order: ``x + delta b``, minus ``delta`` times the
+    Every coefficient sees ``x``, the states at the segment start, with
+    ``ctx`` the prepared laws row-aligned with it, and the sum runs in
+    one order: ``x + delta b``, minus ``delta`` times the
     idiosyncratic and then the common compensator (``laws`` holds their
     Lévy models, None for a band that is off), plus each common small
     jump in time order, plus each row's own small-event sum
@@ -431,7 +448,7 @@ def _segment(coeffs, ctx, laws, x, delta, common, own):
         out[rows] += coeffs.common_small(xr, np.broadcast_to(z, xr.shape))
     own_rows, own_marks = own
     if own_rows.size:
-        owners, sums = _event_sums(coeffs.small_jump(x[own_rows], own_marks, ctx), own_rows)
+        owners, sums = _event_sums(coeffs.small_jump(x[own_rows], own_marks, ctx[own_rows]), own_rows)
         out[owners] += sums
     return out
 
@@ -439,7 +456,8 @@ def _segment(coeffs, ctx, laws, x, delta, common, own):
 def _interlace(coeffs, ctx, laws, X, t0, t1, *, small, big, common_small, common_big):
     """Carry every particle across ``(t0, t1]`` through its breakpoints.
 
-    ``X`` holds the states at ``t0``.  Breakpoints are each particle's
+    ``X`` holds the states at ``t0`` and ``ctx`` the prepared laws
+    row-aligned with it.  Breakpoints are each particle's
     own big events and every common big event of the step; simultaneous
     events apply idiosyncratic first.  Round r moves every particle with
     an r-th breakpoint up to it (one :func:`_segment` of those rows, each
@@ -482,40 +500,75 @@ def _interlace(coeffs, ctx, laws, X, t0, t1, *, small, big, common_small, common
         go = bt > s[p]
         if go.any():
             q = p[go]
-            x[q] = _segment(coeffs, ctx, laws, x[q], *window(q, bt[go]))
+            x[q] = _segment(coeffs, ctx[q], laws, x[q], *window(q, bt[go]))
             s[q] = bt[go]
         idio = band[e] == 0
         incr = np.empty((e.size, x.shape[1]))
         if idio.any():
-            incr[idio] = coeffs.big_jump(x[p[idio]], mark[e[idio]], ctx)
+            incr[idio] = coeffs.big_jump(x[p[idio]], mark[e[idio]], ctx[p[idio]])
         if not idio.all():
-            incr[~idio] = coeffs.common_big(x[p[~idio]], mark[e[~idio]], ctx)
+            incr[~idio] = coeffs.common_big(x[p[~idio]], mark[e[~idio]], ctx[p[~idio]])
         x[p] = x[p] + incr
         records.append((p, bt, band[e], mark[e], incr, x[p]))
     return _segment(coeffs, ctx, laws, x, *window(np.arange(n), np.full(n, t1))), records
+
+
+def _is_statistics(ctx) -> bool:
+    return isinstance(ctx, np.ndarray) and ctx.ndim == 1 and ctx.dtype == np.float64
+
+
+def _law_table(coeffs: CoefficientSet, flow: MeasureFlow, grid: TimeGrid):
+    """The law ``flow`` gives each step of ``grid``, prepared once: ``table[k]`` is ``prepare(flow.at(t_k))``.
+
+    Float statistics come as one ``(n_steps, len)`` array, small enough
+    to ship to workers in place of the clouds; other contexts as a list.
+    """
+    table = [coeffs.prepare(flow.at(float(t))) for t in grid.times[:-1]]
+    return np.array(table) if all(_is_statistics(ctx) for ctx in table) else table
+
+
+def _stack_laws(ctxs, sizes):
+    """One prepared law per block, repeated over the block's rows (see :mod:`levyfield.coefficients`)."""
+    if all(_is_statistics(ctx) for ctx in ctxs):
+        return np.repeat(np.array(ctxs), sizes, axis=0)
+    return np.repeat(np.fromiter(ctxs, dtype=object, count=len(ctxs)), sizes)
 
 
 def _simulate_system(
     coeffs: CoefficientSet,
     levy: LevyModel,
     grid: TimeGrid,
-    tape: _EventTape,
+    blocks: Sequence[tuple],
     config: SolverConfig,
     *,
-    flow: Optional[MeasureFlow] = None,
-    interacting: bool = False,
     common=None,
     collect_clouds: bool = False,
     collect_states: bool = False,
     record_paths: bool = False,
     observer: Optional[Callable] = None,
-) -> SimResult:
-    """Run the particles of ``tape`` over ``grid``; nothing is drawn here."""
-    if not interacting and flow is None:
-        raise ConfigurationError("decoupled runs need a measure flow")
+) -> list[SimResult]:
+    """Run the ``(tape, law)`` blocks over ``grid`` as one stacked state array; nothing is drawn here.
+
+    A block's law is None for an interacting block, whose rows read the
+    cloud of their own states, else a :class:`MeasureFlow` or its
+    :func:`_law_table`.  The common realization, the options and
+    ``observer`` (which sees the stacked states) serve every block.
+    Returns one :class:`SimResult` per block, breakpoint rows renumbered
+    within it.  A divergence reports the first step any row crosses and
+    the worst row's index within its block.
+    """
     times = grid.times
-    X = tape.x0.copy()
+    tapes = [tape for tape, _ in blocks]
+    sizes = [tape.n for tape in tapes]
+    starts = np.cumsum([0] + sizes)
+    ranges = list(zip(starts[:-1], starts[1:]))
+    tables = [_law_table(coeffs, law, grid) if isinstance(law, MeasureFlow) else law for _, law in blocks]
+    if any(table is not None and len(table) != grid.n_steps for table in tables):
+        raise ConfigurationError(f"a law table needs one law per step, {grid.n_steps} here")
+    X = np.concatenate([tape.x0 for tape in tapes])
     n, d = X.shape
+    small_events = _Events.stack([tape.small for tape in tapes], starts, times)
+    big_events = _Events.stack([tape.big for tape in tapes], starts, times)
     no_rows, no_times, no_marks = np.empty(0, dtype=int), np.empty(0), np.empty((0, d))
 
     # common layer: events shared across particles, presampled by the caller;
@@ -527,13 +580,14 @@ def _simulate_system(
         if coeffs.common_big is not None and common.model.big_rate > 0.0:
             cv_off = np.searchsorted(common.v_times, times, side="right")
     # Levy models of the compensated bands, None for a band that is off
-    laws = (levy if tape.small is not None else None, common.model if cu_off is not None else None)
+    laws = (levy if small_events is not None else None, common.model if cu_off is not None else None)
 
     states = None
     if collect_states or record_paths:
         states = np.empty((grid.n_steps + 1, n, d))
         states[0] = X
-    clouds = [EmpiricalMeasure(X)] if collect_clouds else None
+    # an interacting block reads its step's law from the cloud collected at the step start
+    clouds = [[EmpiricalMeasure(X[a:b])] for a, b in ranges] if collect_clouds else None
     records = [] if record_paths else None
     if observer is not None:
         observer(0, float(times[0]), X)
@@ -542,11 +596,14 @@ def _simulate_system(
         t0 = float(times[k])
         t1 = float(times[k + 1])
         dt = t1 - t0
-        mu = EmpiricalMeasure(X) if interacting else flow.at(t0)
-        ctx = coeffs.prepare(mu)
+        ctx = _stack_laws([
+            table[k] if table is not None
+            else coeffs.prepare(clouds[j][-1] if clouds is not None else EmpiricalMeasure(X[a:b]))
+            for j, ((a, b), table) in enumerate(zip(ranges, tables))
+        ], sizes)
 
-        small = tape.small.at(k) if tape.small is not None else (no_rows, no_times, no_marks)
-        big = tape.big.at(k) if tape.big is not None else (no_rows, no_times, no_marks)
+        small = small_events.at(k) if small_events is not None else (no_rows, no_times, no_marks)
+        big = big_events.at(k) if big_events is not None else (no_rows, no_times, no_marks)
         cu = cv = (no_times, no_marks)
         if cu_off is not None:
             a, b = cu_off[k], cu_off[k + 1]
@@ -567,21 +624,27 @@ def _simulate_system(
             flat = np.abs(X)
             flat = np.where(np.isfinite(flat), flat, np.inf)
             worst = int(np.unravel_index(np.argmax(flat), flat.shape)[0])
-            raise DivergenceError(t1, worst, amax)
+            block = int(np.searchsorted(starts, worst, side="right")) - 1
+            raise DivergenceError(t1, worst - int(starts[block]), amax)
 
         if observer is not None:
             observer(k + 1, t1, X)
-        if collect_clouds:
-            clouds.append(EmpiricalMeasure(X))
+        if clouds is not None:
+            for (a, b), block_clouds in zip(ranges, clouds):
+                block_clouds.append(EmpiricalMeasure(X[a:b]))
         if states is not None:
             states[k + 1] = X
 
-    return SimResult(
-        final=X,
-        flow=MeasureFlow(times, clouds) if collect_clouds else None,
-        states=states,
-        _breakpoints=_Breakpoints.from_rounds(times, records, d) if record_paths else None,
-    )
+    breakpoints = _Breakpoints.from_rounds(times, records, d) if record_paths else None
+    return [
+        SimResult(
+            final=X[a:b],
+            flow=MeasureFlow(times, clouds[j]) if clouds is not None else None,
+            states=states[:, a:b] if states is not None else None,
+            _breakpoints=breakpoints.rows(a, b) if breakpoints is not None else None,
+        )
+        for j, (a, b) in enumerate(ranges)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +682,7 @@ def _picard_flows(coeffs, initial, levy, grid, config, ctx, commons, gamma, flow
     trace: list[float] = []
     for _ in range(config.max_iter):
         new_flows = [
-            _simulate_system(coeffs, levy, grid, tape, config, flow=flow, common=common, collect_clouds=True).flow
+            _simulate_system(coeffs, levy, grid, [(tape, flow)], config, common=common, collect_clouds=True)[0].flow
             for flow, common in zip(flows, commons)
         ]
         trace.append(conditional_distance(new_flows, flows, coeffs.beta, gamma, metric=config.flow_metric))
@@ -687,10 +750,11 @@ def simulate_particle_system(
     """
     config = config or SolverConfig()
     tape = _draw_tape(coeffs, levy, grid, stream_ctx, initial_sampler, n, particle_ids)
-    return _simulate_system(
-        coeffs, levy, grid, tape, config, interacting=True, common=common,
+    [result] = _simulate_system(
+        coeffs, levy, grid, [(tape, None)], config, common=common,
         collect_clouds=collect_clouds, record_paths=record_paths, observer=observer,
     )
+    return result
 
 
 @dataclass
@@ -714,39 +778,33 @@ def simulate_coupled(
     config: Optional[SolverConfig] = None,
     *,
     record_paths: bool = False,
-    tape: Optional[_EventTape] = None,
-    limit: Optional[SimResult] = None,
 ) -> CoupledResult:
     """Couple the n-particle system to n limit copies on identical noise.
 
     Both systems read one event tape of the per-particle streams (same
-    initial draws, same events band by band); the limit copies read
-    ``reference_flow`` while the particles read their own cloud, so the
-    per-particle gaps isolate the measure-argument error.  Sup errors are
-    taken over the realized grid (shared by construction) when
-    ``record_paths`` is set, over uniform grid times otherwise.  ``tape``
-    passes in the first ``n`` particles of a tape already drawn from
-    ``stream_ctx``, and ``limit`` the first ``n`` rows of the limit
-    copies already run on it (:meth:`SimResult.head`).
+    initial draws, same events band by band), as two blocks of one pass;
+    the limit copies read ``reference_flow`` while the particles read
+    their own cloud, so the per-particle gaps isolate the measure-argument
+    error.  Sup errors are taken over the realized grid (shared by
+    construction) when ``record_paths`` is set, over uniform grid times
+    otherwise.
     """
-    config = config or SolverConfig()
-    if tape is None:
-        tape = _draw_tape(coeffs, levy, grid, stream_ctx, initial_sampler, n)
-    elif tape.n != n:
-        raise ConfigurationError(f"{n} particles but a tape of {tape.n}")
-    inter = _simulate_system(
-        coeffs, levy, grid, tape, config, interacting=True, collect_states=True, record_paths=record_paths
+    tape = _draw_tape(coeffs, levy, grid, stream_ctx, initial_sampler, n)
+    inter, limit = _simulate_system(
+        coeffs, levy, grid, [(tape, None), (tape, reference_flow)], config or SolverConfig(),
+        collect_states=True, record_paths=record_paths,
     )
-    if limit is None:
-        limit = _simulate_system(
-            coeffs, levy, grid, tape, config, flow=reference_flow, collect_states=True, record_paths=record_paths
-        )
-    elif limit.final.shape[0] != n:
-        raise ConfigurationError(f"{n} particles but {limit.final.shape[0]} limit copies")
+    return _coupled(inter, limit)
+
+
+def _coupled(inter: SimResult, limit: SimResult) -> CoupledResult:
+    """The pair's per-particle gaps; the breakpoints count when both runs recorded them."""
+    if inter.final.shape != limit.final.shape:
+        raise ConfigurationError(f"{inter.final.shape[0]} particles but {limit.final.shape[0]} limit copies")
     diffs = np.sqrt(((inter.states - limit.states) ** 2).sum(axis=2))  # (times, n)
     sups = diffs.max(axis=0)
     finals = diffs[-1]
-    if record_paths and inter._breakpoints.row.size:
+    if inter._breakpoints is not None and inter._breakpoints.row.size:
         # both runs spliced the same jumps in the same order
         a, b = inter._breakpoints, limit._breakpoints
         np.maximum.at(sups, a.row, np.sqrt(((a.state - b.state) ** 2).sum(axis=1)))

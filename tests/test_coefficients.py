@@ -48,7 +48,7 @@ def test_cubic_drift_of_a_row_does_not_depend_on_its_batch(d):
         assert all(np.array_equal(whole[j], coeffs.drift(X[j:j + 1], ctx)[0]) for j in range(n))
         if d == 1:
             # in one dimension the row sum equals the matrix-vector product, so no 1D run moves
-            t2 = (X * X).sum(axis=1) - 2.0 * (X @ ctx.mean) + ctx.abs2
+            t2 = (X * X).sum(axis=1) - 2.0 * (X @ ctx[:1]) + ctx[1]  # ctx is (mean, second moment)
             gemv = X - X * (X * X).sum(axis=1)[:, None] + np.sqrt(np.maximum(t2, 0.0))[:, None]
             assert np.array_equal(whole, gemv)
 

@@ -133,9 +133,7 @@ def test_crn_conditional_picard_limit_is_one_interacting_run_per_path():
     assert np.array_equal(ref.initial_cloud.points, limit.initial_cloud.points)
     tape = _draw_tape(coeffs, idio, GRID, ctx, normal_initial(1), 96)
     for realization, flow, limit_flow in zip(ref.realizations, ref.flows, limit.flows, strict=True):
-        run = _simulate_system(
-            coeffs, idio, GRID, tape, exact, interacting=True, common=realization, collect_clouds=True
-        )
+        [run] = _simulate_system(coeffs, idio, GRID, [(tape, None)], exact, common=realization, collect_clouds=True)
         for a, b, c in zip(run.flow.clouds, flow.clouds, limit_flow.clouds, strict=True):
             assert np.array_equal(a.points, b.points)
             assert np.array_equal(a.points, c.points)
@@ -247,8 +245,8 @@ def test_recorded_paths_match_uniform_states_and_breakpoint_arithmetic():
         coeffs, n, normal_initial(1), noise.idio, GRID, CTX, common=realization, record_paths=True
     )
     tape = _draw_tape(coeffs, noise.idio, GRID, CTX, normal_initial(1), n)
-    plain = _simulate_system(
-        coeffs, noise.idio, GRID, tape, SolverConfig(), interacting=True, common=realization, collect_states=True
+    [plain] = _simulate_system(
+        coeffs, noise.idio, GRID, [(tape, None)], SolverConfig(), common=realization, collect_states=True
     )
     per_step = np.zeros((n, GRID.n_steps), dtype=int)
     for j, path in enumerate(res.paths):

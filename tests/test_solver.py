@@ -25,6 +25,7 @@ from levyfield.solver import (
     _draw_tape,
     _Events,
     _EventTape,
+    _coupled,
     _event_sums,
     _simulate_system,
     picard_fixed_point,
@@ -46,7 +47,8 @@ INIT = normal_initial(1)
 def _decoupled_path(coeffs, flow, initial, grid, levy, config=None, particle_id=0):
     """The path of one particle's decoupled run against ``flow``."""
     tape = _draw_tape(coeffs, levy, grid, CTX, initial, 1, particle_ids=[particle_id])
-    return _simulate_system(coeffs, levy, grid, tape, config or SolverConfig(), flow=flow, record_paths=True).paths[0]
+    [run] = _simulate_system(coeffs, levy, grid, [(tape, flow)], config or SolverConfig(), record_paths=True)
+    return run.paths[0]
 
 
 def test_grid_requires_divisible_step():
@@ -212,7 +214,7 @@ def test_strong_order_in_h_on_one_small_band():
         assert all(np.array_equal(u, v) for u, v in zip(first, (row, time, mark)))
         exact = x0 * math.exp(-a) + gamma_f * np.bincount(row, np.exp(-a * (1.0 - time)) * mark[:, 0], minlength=n)
         flow = MeasureFlow.constant(grid.times, EmpiricalMeasure(np.zeros((2, 1))))
-        final = _simulate_system(coeffs, levy, grid, tape, SolverConfig(), flow=flow).final[:, 0]
+        final = _simulate_system(coeffs, levy, grid, [(tape, flow)], SolverConfig())[0].final[:, 0]
         errors.append(float(np.mean(np.abs(final - exact))))
         steps.append(h)
     slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
@@ -262,7 +264,7 @@ def test_every_segment_sums_in_one_order():
     tape = _EventTape(np.array([[1.3], [-0.8]]), small, big)
     common = CommonRealization(make_levy(big_rate=0.0), np.array([0.3, 0.4, 0.7]),
                                np.array([[0.8], [-0.35], [0.6]]), np.empty(0), np.empty((0, 1)))
-    res = _simulate_system(coeffs, make_levy(), grid, tape, SolverConfig(), interacting=True, common=common)
+    [res] = _simulate_system(coeffs, make_levy(), grid, [(tape, None)], SolverConfig(), common=common)
 
     def segment(x, dt, common_marks, own_marks):
         out = x + dt * b(x)
@@ -390,7 +392,7 @@ def test_crn_picard_limit_is_the_interacting_system_at_every_grid_time():
     res = picard_fixed_point(coeffs, INIT, levy, grid, cfg, CTX)
     tape = _draw_tape(coeffs, levy, grid, CTX, INIT, 128)
     assert tape.big.row.size > 0
-    inter = _simulate_system(coeffs, levy, grid, tape, cfg, interacting=True, collect_clouds=True)
+    [inter] = _simulate_system(coeffs, levy, grid, [(tape, None)], cfg, collect_clouds=True)
     assert res.trace[-1] == 0.0
     for a, b in zip(res.flow.clouds, inter.flow.clouds, strict=True):
         assert np.array_equal(a.points, b.points)
@@ -452,8 +454,9 @@ def test_decoupled_run_rows_equal_the_run_on_a_tape_prefix(case):
     tape = _draw_tape(coeffs, levy, grid, CTX, initial, 24)
 
     def run(t):
-        return _simulate_system(coeffs, levy, grid, t, SolverConfig(), flow=flow, common=common,
-                                collect_states=True, record_paths=True)
+        [result] = _simulate_system(coeffs, levy, grid, [(t, flow)], SolverConfig(), common=common,
+                                    collect_states=True, record_paths=True)
+        return result
 
     full = run(tape)
     rows = full._breakpoints.row
@@ -499,21 +502,21 @@ def test_coupled_run_on_a_shared_tape_equals_run_drawing_its_own(family):
         coeffs = build_frozen(levy, dim=1, beta=2.0, a=1.0, gamma_f=0.3, gamma_g=0.2)
     ref = simulate_particle_system(coeffs, 32, INIT, levy, GRID, CTX.with_(replica=5))
     tape = _draw_tape(coeffs, levy, GRID, CTX, INIT, 24)
-    limit = _simulate_system(coeffs, levy, GRID, tape, SolverConfig(), flow=ref.flow, collect_states=True,
-                             record_paths=True)
-    for n in (8, 24):
+    # the strong replication's pass: every count's system on its prefix, the limit copies on the whole tape
+    *inters, limit = _simulate_system(coeffs, levy, GRID, [(tape.head(8), None), (tape, None), (tape, ref.flow)],
+                                      SolverConfig(), collect_states=True, record_paths=True)
+    for n, inter in zip((8, 24), inters):
         own = simulate_coupled(coeffs, n, INIT, levy, GRID, CTX, ref.flow, record_paths=True)
-        for kw in ({"tape": tape.head(n)}, {"tape": tape.head(n), "limit": limit.head(n)}):
-            shared = simulate_coupled(coeffs, n, INIT, levy, GRID, CTX, ref.flow, record_paths=True, **kw)
-            assert np.array_equal(own.sup_errors, shared.sup_errors)
-            assert np.array_equal(own.final_errors, shared.final_errors)
-            for pa, pb in zip(own.interacting.paths + own.limit.paths,
-                              shared.interacting.paths + shared.limit.paths):
-                assert_paths_equal(pa, pb)
+        shared = _coupled(inter, limit.head(n))
+        assert np.array_equal(own.sup_errors, shared.sup_errors)
+        assert np.array_equal(own.final_errors, shared.final_errors)
+        for pa, pb in zip(own.interacting.paths + own.limit.paths,
+                          shared.interacting.paths + shared.limit.paths):
+            assert_paths_equal(pa, pb)
     with pytest.raises(ConfigurationError):
-        simulate_coupled(coeffs, 8, INIT, levy, GRID, CTX, ref.flow, tape=tape)
+        _coupled(inters[0], limit)
     with pytest.raises(ConfigurationError):
-        simulate_coupled(coeffs, 8, INIT, levy, GRID, CTX, ref.flow, tape=tape.head(8), limit=limit)
+        _coupled(inters[1], limit.head(8))
 
 
 @pytest.mark.parametrize("initial", [normal_initial(2), uniform_box_initial(2), point_initial([0.5, -1.0])],
@@ -558,3 +561,103 @@ def test_crn_picard_mints_one_small_stream_per_particle_for_any_pass_count(monke
         picard_fixed_point(coeffs, INIT, levy, GRID, quick_config(paths=48, tol=1e-12, max_iter=passes, gamma=1.0), CTX)
     assert len(err.value.trace) == passes
     assert counts == {Layer.INIT: 48, Layer.SMALL: 48}
+
+
+# ---------------------------------------------------------------------------
+# stacked passes
+# ---------------------------------------------------------------------------
+
+
+def _stack_case(case):
+    """(coeffs, levy, initial, grid, common realization or None) of a stacked-pass case."""
+    from levyfield.common_noise import sample_common_realization
+
+    if case == "frozen-d1":
+        levy = make_levy(big_rate=3.0)
+        return build_frozen(levy, dim=1, beta=2.0, a=1.0, gamma_f=0.3, gamma_g=0.2), levy, INIT, GRID, None
+    if case.startswith("linear"):
+        d = 2 if case == "linear-d2" else 1
+        levy = make_levy(dim=d, big_rate=3.0)
+        # a big jump that reads the law, so a row reading another block's law shows
+        coeffs = replace(build_linear_meanfield(levy, dim=d, beta=2.0, gamma_f=0.2, gamma_f0=0.2, gamma_g0=0.3),
+                         big_jump=lambda X, Z, mean: Z * (1.0 + X * mean))
+        if case == "linear-d2":
+            return coeffs, levy, normal_initial(2), GRID, None
+        common = sample_common_realization(make_levy(small_rate=2.0, big_rate=3.0), CTX.with_(replica=4), GRID.horizon)
+        assert common.u_times.size and common.v_times.size
+        return coeffs, levy, INIT, GRID, common
+    # the explicit cubic step stays stable across big jumps only on a fine grid
+    levy = make_levy(big_hi=1.2)
+    return build_cubic_interaction(levy, dim=1, beta=2.0), levy, INIT, TimeGrid.regular(1.0, 0.001), None
+
+
+def _assert_runs_equal(a, b):
+    assert np.array_equal(a.final, b.final)
+    assert np.array_equal(a.states, b.states)
+    for name in ("step", "row", "time", "band", "mark", "increment", "state"):
+        assert np.array_equal(getattr(a._breakpoints, name), getattr(b._breakpoints, name))
+    for ca, cb in zip(a.flow.clouds, b.flow.clouds, strict=True):
+        assert np.array_equal(ca.points, cb.points)
+
+
+@pytest.mark.parametrize("case", ["frozen-d1", "linear-d2", "linear-common", "cubic-fine"])
+def test_stacked_pass_equals_each_block_run_alone(case):
+    coeffs, levy, initial, grid, common = _stack_case(case)
+    flow = simulate_particle_system(coeffs, 32, initial, levy, grid, CTX.with_(replica=5), common=common).flow
+    tape = _draw_tape(coeffs, levy, grid, CTX, initial, 12)
+    other = _draw_tape(coeffs, levy, grid, CTX.with_(replica=6), initial, 7)
+    assert tape.big.row.size and other.big.row.size
+    # interacting and flow blocks of different sizes, on prefixes of one tape and on a second tape
+    blocks = [(tape.head(5), None), (tape, flow), (other, None), (tape, None), (tape.head(9), flow)]
+    options = dict(common=common, collect_clouds=True, collect_states=True, record_paths=True)
+    stacked = _simulate_system(coeffs, levy, grid, blocks, SolverConfig(), **options)
+    assert len(stacked) == len(blocks)
+    for block, run in zip(blocks, stacked):
+        [alone] = _simulate_system(coeffs, levy, grid, [block], SolverConfig(), **options)
+        assert run.final.shape[0] == block[0].n and alone._breakpoints.row.size
+        _assert_runs_equal(run, alone)
+
+
+@pytest.mark.parametrize("route", ["callable-kernel", "identity-beta-1.5"])
+def test_cubic_generic_route_in_a_two_block_pass_equals_its_block_runs(route):
+    levy = make_levy(big_hi=1.2)
+    if route == "callable-kernel":
+        coeffs = build_cubic_interaction(levy, dim=1, beta=2.0, kernel=lambda v: v, kernel_lip=1.0)
+    else:
+        coeffs = build_cubic_interaction(levy, dim=1, beta=1.5)
+    assert not isinstance(coeffs.prepare(EmpiricalMeasure(np.zeros((2, 1)))), np.ndarray)
+    grid = TimeGrid.regular(1.0, 0.01)
+    flow = simulate_particle_system(coeffs, 16, INIT, levy, grid, CTX.with_(replica=5)).flow
+    tape = _draw_tape(coeffs, levy, grid, CTX, INIT, 6)
+    assert tape.big.row.size
+    blocks = [(tape.head(4), None), (tape, flow)]
+    options = dict(collect_clouds=True, collect_states=True, record_paths=True)
+    stacked = _simulate_system(coeffs, levy, grid, blocks, SolverConfig(), **options)
+    for block, run in zip(blocks, stacked, strict=True):
+        _assert_runs_equal(run, _simulate_system(coeffs, levy, grid, [block], SolverConfig(), **options)[0])
+
+
+def test_stacked_divergence_reports_the_earliest_crossing_within_its_block():
+    # x' = x^3 from x0 crosses 1e12 at step 6 from 5.0 and at step 3 from 40.0 (explicit steps of 0.02)
+    coeffs = CoefficientSet(name="anti", dim=1, beta=2.0, drift=lambda X, ctx: X * (X * X).sum(axis=1, keepdims=True),
+                            prepare=lambda mu: None)
+    levy, grid = no_noise(1), TimeGrid.regular(1.0, 0.02)
+
+    def tape(*x0):
+        return _draw_tape(coeffs, levy, grid, CTX, np.array(x0)[:, None], len(x0))
+
+    calm = MeasureFlow.constant(grid.times, EmpiricalMeasure(np.zeros((3, 1))))
+    blocks = [(tape(0.1, 0.2), None), (tape(0.1, 5.0, 0.3), calm), (tape(0.1, 0.2, 0.3, 0.4, 0.5), None),
+              (tape(0.1, 40.0, 0.2), None)]
+    alone = []
+    for block in blocks:
+        try:
+            _simulate_system(coeffs, levy, grid, [block], SolverConfig())
+        except DivergenceError as err:
+            alone.append(err)
+    assert [err.particle for err in alone] == [1, 1] and alone[0].time > alone[1].time
+    with pytest.raises(DivergenceError) as err:
+        _simulate_system(coeffs, levy, grid, blocks, SolverConfig())
+    assert err.value.time == alone[1].time == grid.times[3]
+    assert err.value.particle == 1
+    assert err.value.magnitude == alone[1].magnitude > SolverConfig().divergence_threshold
