@@ -235,7 +235,7 @@ def _reference_flows(coeffs, levy, grid, initial_sampler, solver_cfg, poc_cfg, s
     ctx = StreamContext(seed=seed, experiment=EXP_REFERENCE, replica=0)
     tape = _draw_tape(coeffs, levy, grid, ctx, initial_sampler, m_ref)
     return [
-        _simulate_system(coeffs, levy, grid, [(tape, None)], solver_cfg, common=common, collect_clouds=True)[0].flow
+        _simulate_system(coeffs, levy, grid, [(tape, None)], solver_cfg, common=common)[0].flow
         for common in commons
     ]
 
@@ -295,8 +295,7 @@ def _coupling_replication(
         for block in (EXP_MAIN, EXP_FRESH_COPIES)
     )
     blocks = [(main.head(n), None) for n in poc_cfg.n_grid] + [(main, reference_flow), (fresh, reference_flow)]
-    *inters, limit, fresh_copies = _simulate_system(coeffs, levy, grid, blocks, solver_cfg, common=common,
-                                                    collect_states=True)
+    *inters, limit, fresh_copies = _simulate_system(coeffs, levy, grid, blocks, solver_cfg, common=common)
     return {
         n: coupling_terms(n, poc_cfg.p, t_idx, inter, (limit, fresh_copies), common=common)
         for n, inter in zip(poc_cfg.n_grid, inters)
@@ -403,7 +402,7 @@ def strong_poc_replication(
     ctx = StreamContext(seed=seed, experiment=EXP_MAIN, replica=replica)
     tape = _draw_tape(coeffs, levy, grid, ctx, initial_sampler, max(poc_cfg.n_grid))
     blocks = [(tape.head(n), None) for n in poc_cfg.n_grid] + [(tape, reference_flow)]
-    *inters, limit = _simulate_system(coeffs, levy, grid, blocks, solver_cfg, collect_states=True, record_paths=True)
+    *inters, limit = _simulate_system(coeffs, levy, grid, blocks, solver_cfg)
     return {
         n: float(np.mean(_coupled(inter, limit.head(n)).sup_errors ** (poc_cfg.p * poc_cfg.q1)))
         for n, inter in zip(poc_cfg.n_grid, inters)
@@ -485,31 +484,18 @@ def run_moment_experiment(
     beta = coeffs.beta
     rows = {k: [] for k in ("init", "final", "supmean", "suplyap", "meansup")}
     for s_idx, s in enumerate(scalings):
-        tracker = {"supmean": -math.inf, "suplyap": -math.inf, "init": None, "final": None, "persup": None}
-
-        def observer(k, t, X):
-            norms_b = np.sqrt((X * X).sum(axis=1)) ** beta
-            m = float(norms_b.mean())
-            lyap = lyapunov_diagnostic(X, beta)
-            if k == 0:
-                tracker["init"] = m
-                tracker["persup"] = norms_b.copy()
-            else:
-                np.maximum(tracker["persup"], norms_b, out=tracker["persup"])
-            tracker["supmean"] = max(tracker["supmean"], m)
-            tracker["suplyap"] = max(tracker["suplyap"], lyap)
-            tracker["final"] = m
-
         ctx = StreamContext(seed=seed, experiment=EXP_MAIN, replica=s_idx)
-        simulate_particle_system(
-            coeffs, solver_cfg.paths, initial_sampler.scaled(s), levy, grid, ctx, solver_cfg,
-            collect_clouds=False, observer=observer,
-        )
-        rows["init"].append(tracker["init"])
-        rows["final"].append(tracker["final"])
-        rows["supmean"].append(tracker["supmean"])
-        rows["suplyap"].append(tracker["suplyap"])
-        rows["meansup"].append(float(tracker["persup"].mean()))
+        res = simulate_particle_system(coeffs, solver_cfg.paths, initial_sampler.scaled(s), levy, grid, ctx, solver_cfg)
+        means, persup = [], None
+        for X in res.states:
+            norms_b = np.sqrt((X * X).sum(axis=1)) ** beta
+            means.append(float(norms_b.mean()))
+            persup = norms_b if persup is None else np.maximum(persup, norms_b)
+        rows["init"].append(means[0])
+        rows["final"].append(means[-1])
+        rows["supmean"].append(max(means))
+        rows["suplyap"].append(max(lyapunov_diagnostic(X, beta) for X in res.states))
+        rows["meansup"].append(float(persup.mean()))
     ratios = [sm / (1.0 + i0) for sm, i0 in zip(rows["supmean"], rows["init"])]
     spread = max(ratios) / min(ratios)
     return MomentReport(

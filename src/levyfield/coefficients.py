@@ -45,7 +45,6 @@ Built-in families:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 

@@ -64,6 +64,8 @@ _GRID_KEYS = {"horizon", "step"}
 _BAND_KEYS = {"rate", "sampler", "params"}
 # kinds that read a common_noise block
 _COMMON_KINDS = ("common-noise", "check-assumptions")
+# solver keys of the fixed-point loop; a rate run's reference is one interacting run, which reads none of them
+_FIXED_POINT_SOLVER_KEYS = ("paths", "max_iter", "flow_metric")
 
 # experiment-block keys each kind accepts (None = no experiment block needed);
 # strong-poc has no eval_time, its statistic is a supremum over the horizon
@@ -282,6 +284,12 @@ def validate_and_build(cfg: dict) -> ExperimentSpec:
         if unknown:
             problems.append(f"experiment keys {sorted(unknown)} are not valid for kind {kind!r}")
         problems.extend(_check_experiment(kind, experiment))
+        solver_block = cfg.get("solver") or {}
+        rate_run = kind in ("poc", "strong-poc") or (kind == "common-noise" and experiment.get("task") == "poc")
+        if rate_run and isinstance(solver_block, dict):
+            unread = [f"solver.{key}" for key in _FIXED_POINT_SOLVER_KEYS if key in solver_block]
+            if unread:
+                problems.append(f"{unread}: a {kind!r} rate run does not read these solver keys")
 
     if problems:
         raise ConfigurationError(problems)

@@ -21,14 +21,16 @@ from .errors import ConfigurationError
 class EmpiricalMeasure:
     """Uniform-weight cloud of ``n`` points in ``R^d``.
 
-    The point array is copied and frozen on construction; a measure never
-    mutates after it is built.
+    A measure never mutates after it is built: a read-only float64 array
+    is kept as it is (the solver's states, which nothing writes again),
+    and any other input is copied and frozen.
     """
 
     __slots__ = ("points",)
 
     def __init__(self, points):
-        pts = np.array(points, dtype=float)
+        frozen = isinstance(points, np.ndarray) and points.dtype == np.float64 and not points.flags.writeable
+        pts = points if frozen else np.array(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] < 1:

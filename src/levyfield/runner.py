@@ -154,33 +154,25 @@ def _rate_chunk(args):
     return out
 
 
-def _timeseries_observer(beta, rows):
-    def obs(k, t, X):
+def _write_timeseries(out: Path, spec: ExperimentSpec, res) -> list:
+    """``timeseries.csv``, one row per uniform grid time: the cloud's mean, beta-norm and Lyapunov average."""
+    beta, rows = spec.coeffs.beta, []
+    for t, X in zip(spec.grid.times, res.states):
         norms = np.sqrt((X * X).sum(axis=1))
-        rows.append(
-            [t]
-            + list(X.mean(axis=0))
-            + [float(np.mean(norms**beta)) ** (1.0 / beta),
-               float(np.mean((1.0 + norms**2) ** (beta / 2.0)))]
-        )
-    return obs
-
-
-def _ts_header(dim):
-    return ["time"] + [f"mean_{i}" for i in range(dim)] + ["beta_norm", "lyapunov"]
+        rows.append([float(t)] + list(X.mean(axis=0))
+                    + [float(np.mean(norms**beta)) ** (1.0 / beta), float(np.mean((1.0 + norms**2) ** (beta / 2.0)))])
+    header = ["time"] + [f"mean_{i}" for i in range(spec.coeffs.dim)] + ["beta_norm", "lyapunov"]
+    _write_csv(out / "timeseries.csv", header, [[_f(v) for v in row] for row in rows])
+    return rows
 
 
 def _run_simulate(spec: ExperimentSpec, out: Path, jobs: int):
     n = spec.experiment["n"]
-    rows = []
     res = simulate_particle_system(
         spec.coeffs, n, spec.initial, spec.levy, spec.grid,
         StreamContext(seed=spec.seed, experiment=EXP_MAIN, replica=0), spec.solver,
-        collect_clouds=False,
-        observer=_timeseries_observer(spec.coeffs.beta, rows),
     )
-    _write_csv(out / "timeseries.csv", _ts_header(spec.coeffs.dim),
-               [[_f(v) for v in row] for row in rows])
+    rows = _write_timeseries(out, spec, res)
     _write_csv(out / "final_cloud.csv", [f"x_{i}" for i in range(spec.coeffs.dim)],
                [[_f(v) for v in x] for x in res.final])
     _write_json(out / "result.json", {
@@ -284,17 +276,10 @@ def _run_common(spec: ExperimentSpec, out: Path, jobs: int):
     if spec.experiment["task"] == "poc":
         return _run_rate(spec, out, jobs)
     n = spec.experiment["n"]
-    rows = []
     ctx = StreamContext(seed=spec.seed, experiment=EXP_MAIN, replica=0)
     real = sample_common_realization(spec.two_layer.common, ctx, spec.grid.horizon)
-    res = simulate_particle_system(
-        spec.coeffs, n, spec.initial, spec.levy, spec.grid, ctx, spec.solver,
-        common=real,
-        collect_clouds=False,
-        observer=_timeseries_observer(spec.coeffs.beta, rows),
-    )
-    _write_csv(out / "timeseries.csv", _ts_header(spec.coeffs.dim),
-               [[_f(v) for v in row] for row in rows])
+    res = simulate_particle_system(spec.coeffs, n, spec.initial, spec.levy, spec.grid, ctx, spec.solver, common=real)
+    _write_timeseries(out, spec, res)
     ev_rows = [["U0", _f(t)] + [_f(v) for v in m] for t, m in zip(real.u_times, real.u_marks)]
     ev_rows += [["V0", _f(t)] + [_f(v) for v in m] for t, m in zip(real.v_times, real.v_marks)]
     ev_rows.sort(key=lambda r: float(r[1]))

@@ -30,13 +30,23 @@ Each step stacks the blocks' prepared laws row by row and moves every
 row with one segment or one interlacing, so each block evolves bit for
 bit as it would alone.  A chaos replication is one pass over all its
 systems; a single system, a reference and a fixed-point pass are
-one-block passes.  The fixed-point loop re-simulates one event tape
-(common random numbers) against the previous iterate's flow until the
-discounted flow distance stalls below tolerance.  Pass i of that loop is exact at grid times
-``t_0..t_i``, so its fixed point on a tape is the interacting system on
-the same tape, bit for bit.  A rate run's reference is therefore that
-one interacting run on the reserved reference streams; the loop serves
-the ``picard`` experiment, which measures the contraction.
+one-block passes.
+
+A pass returns one :class:`SimResult` per block: the block's slice of
+one ``(n_steps + 1, rows, d)`` state array and the pass's breakpoint
+record.  Each step's states are read-only once computed, so an
+interacting block's cloud wraps them without a copy, and the state array
+is read-only once the pass ends.  Final states, flows, paths and time
+series are all read from this record.
+
+The fixed-point loop re-simulates one event tape (common random
+numbers) against the previous iterate's flow until the discounted flow
+distance stalls below tolerance.  Pass i of that loop is exact at grid
+times ``t_0..t_i``, so its fixed point on a tape is the interacting
+system on the same tape, bit for bit.  A rate run's reference is
+therefore that one interacting run on the reserved reference streams;
+the loop serves the ``picard`` experiment, which measures the
+contraction.
 
 The common layer is an argument of the engine and its drivers, not a
 driver of its own: a :class:`~levyfield.common_noise.CommonRealization`
@@ -75,7 +85,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -253,33 +264,42 @@ class _Breakpoints:
 
 @dataclass
 class SimResult:
-    """Everything one ensemble run can hand back (fields None unless requested).
+    """One block of an engine pass: its states at every uniform grid time and its spliced big jumps.
 
-    ``paths`` is built from the uniform-grid ``states`` and the breakpoint
-    record on first access and kept from then on.
+    ``states`` is the block's ``(n_times, n, d)`` slice of the pass's
+    state array and ``final`` its last time, both read-only views.  The
+    big jumps sit in the pass's breakpoint record; the block's share of
+    it (``_breakpoints``), the empirical ``flow`` (one cloud per grid
+    time, each a view of ``states``) and the ``paths`` (the states with
+    the breakpoints inserted) are built on first access and kept.
     """
 
-    final: np.ndarray
-    flow: Optional[MeasureFlow] = None
-    states: Optional[np.ndarray] = None  # (n_times, n, d) at uniform grid times
-    _breakpoints: Optional[_Breakpoints] = field(default=None, repr=False)
-    _paths: Optional[list[PathSolution]] = field(default=None, repr=False)
+    states: np.ndarray
+    _record: _Breakpoints = field(repr=False)
+    _rows: tuple[int, int] = field(repr=False)  # the block's rows in the record
 
     @property
-    def paths(self) -> Optional[list[PathSolution]]:
-        if self._paths is None and self._breakpoints is not None:
-            self._paths = self._breakpoints.paths(self.states)
-        return self._paths
+    def final(self) -> np.ndarray:
+        return self.states[-1]
+
+    @cached_property
+    def _breakpoints(self) -> _Breakpoints:
+        return self._record.rows(*self._rows)
+
+    @cached_property
+    def flow(self) -> MeasureFlow:
+        return MeasureFlow(self._record.grid_times, [EmpiricalMeasure(x) for x in self.states])
+
+    @cached_property
+    def paths(self) -> list[PathSolution]:
+        return self._breakpoints.paths(self.states)
 
     def head(self, n: int) -> "SimResult":
-        """Rows ``0..n-1`` of a decoupled run, clouds dropped: the same run on its tape's ``head(n)``."""
-        if not 1 <= n <= self.final.shape[0]:
-            raise ConfigurationError(f"cannot take {n} rows from a run of {self.final.shape[0]}")
-        return SimResult(
-            final=self.final[:n],
-            states=self.states[:, :n] if self.states is not None else None,
-            _breakpoints=self._breakpoints.rows(0, n) if self._breakpoints is not None else None,
-        )
+        """Rows ``0..n-1`` of a decoupled run: the same run on its tape's ``head(n)``."""
+        if not 1 <= n <= self.states.shape[1]:
+            raise ConfigurationError(f"cannot take {n} rows from a run of {self.states.shape[1]}")
+        start = self._rows[0]
+        return SimResult(self.states[:, :n], self._record, (start, start + n))
 
 
 # ---------------------------------------------------------------------------
@@ -542,20 +562,15 @@ def _simulate_system(
     config: SolverConfig,
     *,
     common=None,
-    collect_clouds: bool = False,
-    collect_states: bool = False,
-    record_paths: bool = False,
-    observer: Optional[Callable] = None,
 ) -> list[SimResult]:
     """Run the ``(tape, law)`` blocks over ``grid`` as one stacked state array; nothing is drawn here.
 
     A block's law is None for an interacting block, whose rows read the
     cloud of their own states, else a :class:`MeasureFlow` or its
-    :func:`_law_table`.  The common realization, the options and
-    ``observer`` (which sees the stacked states) serve every block.
-    Returns one :class:`SimResult` per block, breakpoint rows renumbered
-    within it.  A divergence reports the first step any row crosses and
-    the worst row's index within its block.
+    :func:`_law_table`.  The common realization serves every block.
+    Returns one :class:`SimResult` per block.  A divergence reports the
+    first step any row crosses and the worst row's index within its
+    block.
     """
     times = grid.times
     tapes = [tape for tape, _ in blocks]
@@ -582,24 +597,18 @@ def _simulate_system(
     # Levy models of the compensated bands, None for a band that is off
     laws = (levy if small_events is not None else None, common.model if cu_off is not None else None)
 
-    states = None
-    if collect_states or record_paths:
-        states = np.empty((grid.n_steps + 1, n, d))
-        states[0] = X
-    # an interacting block reads its step's law from the cloud collected at the step start
-    clouds = [[EmpiricalMeasure(X[a:b])] for a, b in ranges] if collect_clouds else None
-    records = [] if record_paths else None
-    if observer is not None:
-        observer(0, float(times[0]), X)
-
+    states = np.empty((grid.n_steps + 1, n, d))
+    states[0] = X
+    records = []
     for k in range(grid.n_steps):
+        # no segment writes the step-start states, so an interacting block's cloud wraps them as they are
+        X.flags.writeable = False
         t0 = float(times[k])
         t1 = float(times[k + 1])
         dt = t1 - t0
         ctx = _stack_laws([
-            table[k] if table is not None
-            else coeffs.prepare(clouds[j][-1] if clouds is not None else EmpiricalMeasure(X[a:b]))
-            for j, ((a, b), table) in enumerate(zip(ranges, tables))
+            table[k] if table is not None else coeffs.prepare(EmpiricalMeasure(X[a:b]))
+            for (a, b), table in zip(ranges, tables)
         ], sizes)
 
         small = small_events.at(k) if small_events is not None else (no_rows, no_times, no_marks)
@@ -614,8 +623,7 @@ def _simulate_system(
 
         if big[0].size or cv[0].size:
             X, rounds = _interlace(coeffs, ctx, laws, X, t0, t1, small=small, big=big, common_small=cu, common_big=cv)
-            if records is not None:
-                records.extend((np.full(rec[0].size, k),) + rec for rec in rounds)
+            records.extend((np.full(rec[0].size, k),) + rec for rec in rounds)
         else:
             X = _segment(coeffs, ctx, laws, X, dt, [(slice(None), z) for z in cu[1]], (small[0], small[2]))
 
@@ -626,25 +634,11 @@ def _simulate_system(
             worst = int(np.unravel_index(np.argmax(flat), flat.shape)[0])
             block = int(np.searchsorted(starts, worst, side="right")) - 1
             raise DivergenceError(t1, worst - int(starts[block]), amax)
+        states[k + 1] = X
 
-        if observer is not None:
-            observer(k + 1, t1, X)
-        if clouds is not None:
-            for (a, b), block_clouds in zip(ranges, clouds):
-                block_clouds.append(EmpiricalMeasure(X[a:b]))
-        if states is not None:
-            states[k + 1] = X
-
-    breakpoints = _Breakpoints.from_rounds(times, records, d) if record_paths else None
-    return [
-        SimResult(
-            final=X[a:b],
-            flow=MeasureFlow(times, clouds[j]) if clouds is not None else None,
-            states=states[:, a:b] if states is not None else None,
-            _breakpoints=breakpoints.rows(a, b) if breakpoints is not None else None,
-        )
-        for j, (a, b) in enumerate(ranges)
-    ]
+    states.flags.writeable = False
+    record = _Breakpoints.from_rounds(times, records, d)
+    return [SimResult(states[:, a:b], record, (a, b)) for a, b in ranges]
 
 
 # ---------------------------------------------------------------------------
@@ -682,7 +676,7 @@ def _picard_flows(coeffs, initial, levy, grid, config, ctx, commons, gamma, flow
     trace: list[float] = []
     for _ in range(config.max_iter):
         new_flows = [
-            _simulate_system(coeffs, levy, grid, [(tape, flow)], config, common=common, collect_clouds=True)[0].flow
+            _simulate_system(coeffs, levy, grid, [(tape, flow)], config, common=common)[0].flow
             for flow, common in zip(flows, commons)
         ]
         trace.append(conditional_distance(new_flows, flows, coeffs.beta, gamma, metric=config.flow_metric))
@@ -734,26 +728,21 @@ def simulate_particle_system(
     *,
     common=None,
     particle_ids: Optional[Sequence[int]] = None,
-    record_paths: bool = False,
-    collect_clouds: bool = True,
-    observer: Optional[Callable] = None,
 ) -> SimResult:
     """Interacting system: every particle reads the cloud of current states.
 
     The cloud is re-formed from all ``n`` states at each uniform grid
-    time and frozen for the following step (snapshot semantics).  Paths
-    are returned on request; the empirical flow is collected by default.
-    ``common`` is a :class:`~levyfield.common_noise.CommonRealization`
-    whose events every particle receives (None: no common layer); its
-    jumps show up in the jump logs with band tag ``V0``, after any
-    simultaneous idiosyncratic event.
+    time and frozen for the following step (snapshot semantics).  The
+    result holds the states and the spliced big jumps, from which its
+    flow and paths are read.  ``common`` is a
+    :class:`~levyfield.common_noise.CommonRealization` whose events every
+    particle receives (None: no common layer); its jumps show up in the
+    jump logs with band tag ``V0``, after any simultaneous idiosyncratic
+    event.
     """
     config = config or SolverConfig()
     tape = _draw_tape(coeffs, levy, grid, stream_ctx, initial_sampler, n, particle_ids)
-    [result] = _simulate_system(
-        coeffs, levy, grid, [(tape, None)], config, common=common,
-        collect_clouds=collect_clouds, record_paths=record_paths, observer=observer,
-    )
+    [result] = _simulate_system(coeffs, levy, grid, [(tape, None)], config, common=common)
     return result
 
 
@@ -792,19 +781,18 @@ def simulate_coupled(
     tape = _draw_tape(coeffs, levy, grid, stream_ctx, initial_sampler, n)
     inter, limit = _simulate_system(
         coeffs, levy, grid, [(tape, None), (tape, reference_flow)], config or SolverConfig(),
-        collect_states=True, record_paths=record_paths,
     )
-    return _coupled(inter, limit)
+    return _coupled(inter, limit, at_breakpoints=record_paths)
 
 
-def _coupled(inter: SimResult, limit: SimResult) -> CoupledResult:
-    """The pair's per-particle gaps; the breakpoints count when both runs recorded them."""
+def _coupled(inter: SimResult, limit: SimResult, *, at_breakpoints: bool = True) -> CoupledResult:
+    """The pair's per-particle gaps, over the breakpoints too unless ``at_breakpoints`` is off."""
     if inter.final.shape != limit.final.shape:
         raise ConfigurationError(f"{inter.final.shape[0]} particles but {limit.final.shape[0]} limit copies")
     diffs = np.sqrt(((inter.states - limit.states) ** 2).sum(axis=2))  # (times, n)
     sups = diffs.max(axis=0)
     finals = diffs[-1]
-    if inter._breakpoints is not None and inter._breakpoints.row.size:
+    if at_breakpoints and inter._breakpoints.row.size:
         # both runs spliced the same jumps in the same order
         a, b = inter._breakpoints, limit._breakpoints
         np.maximum.at(sups, a.row, np.sqrt(((a.state - b.state) ** 2).sum(axis=1)))

@@ -252,8 +252,8 @@ def test_criterion_08_interlacing_and_metric_invariants(capsys):
     )
     no_big = LevyModel(dim=1, split_radius=1.0, small=small, big=None)
     coeffs = build_frozen(zero_big, dim=1, beta=2.0, a=1.0, gamma_f=0.2, gamma_g=0.3)
-    run_zero = simulate_particle_system(coeffs, 8, normal_initial(1), zero_big, grid, ctx, record_paths=True)
-    run_none = simulate_particle_system(coeffs, 8, normal_initial(1), no_big, grid, ctx, record_paths=True)
+    run_zero = simulate_particle_system(coeffs, 8, normal_initial(1), zero_big, grid, ctx)
+    run_none = simulate_particle_system(coeffs, 8, normal_initial(1), no_big, grid, ctx)
     bit_equal = np.array_equal(run_zero.final, run_none.final) and all(
         np.array_equal(pa.times, pb.times) and np.array_equal(pa.states, pb.states)
         for pa, pb in zip(run_zero.paths, run_none.paths)
@@ -345,10 +345,10 @@ def test_criterion_10_common_noise(capsys, tmp_path):
         big=LevyBand(rate=0.5, sampler=AnnulusUniform(1, 1.0, 2.0)),
     )
     frozen = build_frozen(levy, dim=1, beta=2.0, a=1.0, gamma_f=0.2, gamma_g=0.3)
-    plain = simulate_particle_system(frozen, 8, normal_initial(1), levy, grid, ctx, record_paths=True)
+    plain = simulate_particle_system(frozen, 8, normal_initial(1), levy, grid, ctx)
     silent = sample_common_realization(TwoLayerNoise.single_layer(levy).common, ctx, grid.horizon)
     layered = simulate_particle_system(
-        frozen, 8, normal_initial(1), levy, grid, ctx, common=silent, record_paths=True
+        frozen, 8, normal_initial(1), levy, grid, ctx, common=silent
     )
     system_equal = silent.empty and np.array_equal(plain.final, layered.final) and all(
         np.array_equal(pa.times, pb.times) and np.array_equal(pa.states, pb.states)

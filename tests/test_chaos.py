@@ -175,7 +175,7 @@ def test_reference_is_the_crn_picard_limit_on_the_reference_block():
     limit = picard_fixed_point(coeffs, normal_initial(1), levy, grid, exact, ctx)
     tape = _draw_tape(coeffs, levy, grid, ctx, normal_initial(1), 96)
     assert tape.big.row.size > 0
-    [inter] = _simulate_system(coeffs, levy, grid, [(tape, None)], QUICK, collect_clouds=True)
+    [inter] = _simulate_system(coeffs, levy, grid, [(tape, None)], QUICK)
     assert ref.iterations == 1 and ref.trace == []
     assert np.array_equal(ref.initial_cloud.points, limit.initial_cloud.points)
     for a, b, c in zip(ref.flow.clouds, limit.flow.clouds, inter.flow.clouds, strict=True):

@@ -84,12 +84,12 @@ def test_zero_rate_common_layer_reduces_to_single_layer_system():
     levy = make_levy(dim=1, small_rate=1.0, big_rate=1.0)
     coeffs = build_frozen(levy, dim=1, beta=2.0, a=1.0, gamma_f=0.2, gamma_g=0.3)
     plain = simulate_particle_system(
-        coeffs, 6, normal_initial(1), levy, GRID, CTX, record_paths=True
+        coeffs, 6, normal_initial(1), levy, GRID, CTX
     )
     silent = sample_common_realization(TwoLayerNoise.single_layer(levy).common, CTX, GRID.horizon)
     assert silent.empty
     layered = simulate_particle_system(
-        coeffs, 6, normal_initial(1), levy, GRID, CTX, common=silent, record_paths=True
+        coeffs, 6, normal_initial(1), levy, GRID, CTX, common=silent
     )
     assert np.array_equal(plain.final, layered.final)
     for fa, fb in zip(plain.flow.clouds, layered.flow.clouds):
@@ -133,7 +133,7 @@ def test_crn_conditional_picard_limit_is_one_interacting_run_per_path():
     assert np.array_equal(ref.initial_cloud.points, limit.initial_cloud.points)
     tape = _draw_tape(coeffs, idio, GRID, ctx, normal_initial(1), 96)
     for realization, flow, limit_flow in zip(ref.realizations, ref.flows, limit.flows, strict=True):
-        [run] = _simulate_system(coeffs, idio, GRID, [(tape, None)], exact, common=realization, collect_clouds=True)
+        [run] = _simulate_system(coeffs, idio, GRID, [(tape, None)], exact, common=realization)
         for a, b, c in zip(run.flow.clouds, flow.clouds, limit_flow.clouds, strict=True):
             assert np.array_equal(a.points, b.points)
             assert np.array_equal(a.points, c.points)
@@ -180,8 +180,7 @@ def test_simultaneous_events_apply_idiosyncratic_before_common():
         common_big=lambda X, Z, ctx: X * Z,
     )
     base = simulate_particle_system(
-        coeffs, 1, point_initial([1.0]), levy, GRID, CTX,
-        record_paths=True, common=_empty_realization(common_model),
+        coeffs, 1, point_initial([1.0]), levy, GRID, CTX, common=_empty_realization(common_model),
     )
     v_jumps = [j for j in base.paths[0].jumps if j.band == "V"]
     assert v_jumps, "pinned seed produced no idiosyncratic big jumps"
@@ -191,7 +190,7 @@ def test_simultaneous_events_apply_idiosyncratic_before_common():
         common_model, np.empty(0), np.empty((0, 1)), np.array([t_star]), np.array([[1.5]])
     )
     tied = simulate_particle_system(
-        coeffs, 1, point_initial([1.0]), levy, GRID, CTX, record_paths=True, common=pinned,
+        coeffs, 1, point_initial([1.0]), levy, GRID, CTX, common=pinned,
     )
     path = tied.paths[0]
     at_tie = [j for j in path.jumps if j.time == t_star]
@@ -242,11 +241,11 @@ def test_recorded_paths_match_uniform_states_and_breakpoint_arithmetic():
     realization = sample_common_realization(noise.common, CTX, GRID.horizon)
     assert realization.v_times.size >= 2
     res = simulate_particle_system(
-        coeffs, n, normal_initial(1), noise.idio, GRID, CTX, common=realization, record_paths=True
+        coeffs, n, normal_initial(1), noise.idio, GRID, CTX, common=realization
     )
     tape = _draw_tape(coeffs, noise.idio, GRID, CTX, normal_initial(1), n)
     [plain] = _simulate_system(
-        coeffs, noise.idio, GRID, [(tape, None)], SolverConfig(), common=realization, collect_states=True
+        coeffs, noise.idio, GRID, [(tape, None)], SolverConfig(), common=realization
     )
     per_step = np.zeros((n, GRID.n_steps), dtype=int)
     for j, path in enumerate(res.paths):
@@ -267,12 +266,12 @@ def test_tied_breakpoints_apply_idiosyncratic_first_for_every_particle():
     n = 6
     base = simulate_particle_system(
         coeffs, n, normal_initial(1), noise.idio, GRID, CTX,
-        common=_empty_realization(noise.common), record_paths=True,
+        common=_empty_realization(noise.common),
     )
     t_star = base.paths[3].jumps[0].time
     pinned = CommonRealization(noise.common, np.empty(0), np.empty((0, 1)), np.array([t_star]), np.array([[1.5]]))
     tied = simulate_particle_system(
-        coeffs, n, normal_initial(1), noise.idio, GRID, CTX, common=pinned, record_paths=True
+        coeffs, n, normal_initial(1), noise.idio, GRID, CTX, common=pinned
     )
     for j, path in enumerate(tied.paths):
         at_tie = [jm for jm in path.jumps if jm.time == t_star]
@@ -306,7 +305,7 @@ def test_pure_common_noise_moves_all_particles_in_lockstep():
     ctx = StreamContext(seed=700, experiment=EXP_MAIN, replica=0)
     realization = sample_common_realization(common_model, ctx, GRID.horizon)
     res = simulate_particle_system(
-        coeffs, 5, point_initial([1.0]), no_noise(1), GRID, ctx, common=realization, record_paths=True
+        coeffs, 5, point_initial([1.0]), no_noise(1), GRID, ctx, common=realization
     )
     assert realization.u_times.size > 0 and realization.v_times.size > 0
     assert np.all(res.final == res.final[0])

@@ -69,9 +69,10 @@ RATE_KINDS = ["poc", "strong-poc", "common-noise"]
 def _rate_cfg(kind, replications):
     """A toy rate experiment; the common-noise one has a live common layer (small and big band)."""
     exp = {"p": 1.0, "n_grid": [4, 8, 16], "replications": replications, "reference_paths": 64}
+    solver = {"gamma": 2.0, "tol": 1.0e-2}  # a rate run takes none of the fixed-point loop's keys
     if kind != "common-noise":
-        return _quick_cfg(kind=kind, experiment=exp)
-    cfg = _quick_cfg(kind=kind, experiment={"task": "poc", **exp})
+        return _quick_cfg(kind=kind, experiment=exp, solver=solver)
+    cfg = _quick_cfg(kind=kind, experiment={"task": "poc", **exp}, solver=solver)
     cfg["common_noise"] = {
         "split_radius": 1.0,
         "small": {"rate": 1.0, "sampler": "annulus_uniform", "params": {"r_lo": 0.0, "r_hi": 1.0}},
@@ -103,10 +104,11 @@ def test_shipped_configs_validate(path):
 def _reduced(cfg):
     """A shipped config cut down to well under a second: fewer paths, particles and trials."""
     cfg = copy.deepcopy(cfg)
-    cfg["solver"] = {**(cfg.get("solver") or {}), "paths": 64}
     exp = cfg.get("experiment") or {}
     if "n_grid" in exp:
         exp.update(n_grid=[4, 8, 16], replications=2, reference_paths=32)
+    else:
+        cfg["solver"] = {**(cfg.get("solver") or {}), "paths": 64}
     for key, value in (("n", 32), ("trials", 200)):
         if key in exp:
             exp[key] = value
@@ -215,6 +217,17 @@ def test_record_paths_is_rejected_where_no_output_reads_it(name):
     validate_and_build(cfg)
     cfg["experiment"]["record_paths"] = True
     with pytest.raises(ConfigurationError, match="record_paths"):
+        validate_and_build(cfg)
+
+
+@pytest.mark.parametrize("key, value", [("paths", 64), ("max_iter", 5), ("flow_metric", "sliced")])
+@pytest.mark.parametrize("kind", RATE_KINDS)
+def test_rate_runs_reject_the_fixed_point_solver_keys(kind, key, value):
+    # a rate run's reference is one interacting run: no fixed-point cloud size, pass budget or flow metric
+    cfg = _rate_cfg(kind, replications=2)
+    validate_and_build(cfg)
+    cfg["solver"][key] = value
+    with pytest.raises(ConfigurationError, match=f"solver.{key}"):
         validate_and_build(cfg)
 
 

@@ -23,6 +23,17 @@ def test_points_are_frozen_and_stats_match_numpy():
         mu.points[0, 0] = 99.0
 
 
+def test_writeable_input_is_copied_and_read_only_float_input_is_kept():
+    src = np.array([[1.0], [2.0]])
+    mu = EmpiricalMeasure(src)
+    src[0, 0] = 99.0
+    assert np.array_equal(mu.points, [[1.0], [2.0]])
+    frozen = np.array([[1.0], [2.0]])
+    frozen.flags.writeable = False
+    assert EmpiricalMeasure(frozen).points is frozen
+    assert not np.shares_memory(EmpiricalMeasure(frozen.astype(np.float32)).points, frozen)
+
+
 def test_scalar_input_and_empty_cloud_are_rejected():
     with pytest.raises(ConfigurationError):
         EmpiricalMeasure(np.empty((0, 1)))

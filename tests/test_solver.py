@@ -47,7 +47,7 @@ INIT = normal_initial(1)
 def _decoupled_path(coeffs, flow, initial, grid, levy, config=None, particle_id=0):
     """The path of one particle's decoupled run against ``flow``."""
     tape = _draw_tape(coeffs, levy, grid, CTX, initial, 1, particle_ids=[particle_id])
-    [run] = _simulate_system(coeffs, levy, grid, [(tape, flow)], config or SolverConfig(), record_paths=True)
+    [run] = _simulate_system(coeffs, levy, grid, [(tape, flow)], config or SolverConfig())
     return run.paths[0]
 
 
@@ -132,7 +132,7 @@ def test_one_particle_system_equals_decoupled_run_on_its_own_flow():
     levy = small_only_levy()
     coeffs = build_cubic_interaction(levy, dim=1, beta=2.0)
     res = simulate_particle_system(
-        coeffs, 1, INIT, levy, GRID, CTX, quick_config(), record_paths=True, collect_clouds=True
+        coeffs, 1, INIT, levy, GRID, CTX, quick_config()
     )
     again = _decoupled_path(coeffs, res.flow, INIT, GRID, levy, quick_config())
     assert_paths_equal(res.paths[0], again)
@@ -142,7 +142,7 @@ def test_measure_free_coefficients_decouple_the_system():
     levy = make_levy()
     coeffs = build_frozen(levy, dim=1, beta=2.0, a=1.0, gamma_f=0.3, gamma_g=0.1)
     n = 6
-    sys_res = simulate_particle_system(coeffs, n, INIT, levy, GRID, CTX, record_paths=True)
+    sys_res = simulate_particle_system(coeffs, n, INIT, levy, GRID, CTX)
     dummy = MeasureFlow.constant(GRID.times, EmpiricalMeasure(np.full((3, 1), 9.0)))
     for i in range(n):
         solo = _decoupled_path(coeffs, dummy, INIT, GRID, levy, particle_id=i)
@@ -235,16 +235,27 @@ def test_divergence_error_reports_time_and_particle():
     assert 0 <= err.value.particle < 4
 
 
-def test_observer_sees_every_uniform_grid_time():
-    levy = small_only_levy()
-    coeffs = build_cubic_interaction(levy, dim=1, beta=2.0)
-    seen = []
-    simulate_particle_system(
-        coeffs, 3, INIT, levy, GRID, CTX, observer=lambda k, t, X: seen.append((k, t, X.shape))
-    )
-    assert [k for k, _, _ in seen] == list(range(GRID.n_steps + 1))
-    assert all(shape == (3, 1) for _, _, shape in seen)
-    assert np.allclose([t for _, t, _ in seen], GRID.times)
+def test_run_keeps_the_states_of_every_uniform_grid_time():
+    levy = small_only_levy(dim=2)
+    coeffs = build_cubic_interaction(levy, dim=2, beta=2.0)
+    init = normal_initial(2)
+    res = simulate_particle_system(coeffs, 3, init, levy, GRID, CTX)
+    assert res.states.shape == (GRID.n_steps + 1, 3, 2)
+    assert np.array_equal(res.states[0], _draw_tape(coeffs, levy, GRID, CTX, init, 3).x0)
+    assert np.array_equal(res.final, res.states[-1])
+
+
+def test_flow_clouds_are_views_of_the_read_only_states():
+    levy = make_levy(big_rate=3.0)
+    coeffs = build_frozen(levy, dim=1, beta=2.0, a=1.0, gamma_f=0.3, gamma_g=0.2)
+    res = simulate_particle_system(coeffs, 4, INIT, levy, GRID, CTX)
+    assert res._breakpoints.row.size
+    for t in GRID.times:
+        assert np.shares_memory(res.flow.at(float(t)).points, res.states)
+    with pytest.raises(ValueError):
+        res.states[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        res.final[0] = 1.0
 
 
 def test_every_segment_sums_in_one_order():
@@ -392,7 +403,7 @@ def test_crn_picard_limit_is_the_interacting_system_at_every_grid_time():
     res = picard_fixed_point(coeffs, INIT, levy, grid, cfg, CTX)
     tape = _draw_tape(coeffs, levy, grid, CTX, INIT, 128)
     assert tape.big.row.size > 0
-    [inter] = _simulate_system(coeffs, levy, grid, [(tape, None)], cfg, collect_clouds=True)
+    [inter] = _simulate_system(coeffs, levy, grid, [(tape, None)], cfg)
     assert res.trace[-1] == 0.0
     for a, b in zip(res.flow.clouds, inter.flow.clouds, strict=True):
         assert np.array_equal(a.points, b.points)
@@ -454,8 +465,7 @@ def test_decoupled_run_rows_equal_the_run_on_a_tape_prefix(case):
     tape = _draw_tape(coeffs, levy, grid, CTX, initial, 24)
 
     def run(t):
-        [result] = _simulate_system(coeffs, levy, grid, [(t, flow)], SolverConfig(), common=common,
-                                    collect_states=True, record_paths=True)
+        [result] = _simulate_system(coeffs, levy, grid, [(t, flow)], SolverConfig(), common=common)
         return result
 
     full = run(tape)
@@ -504,7 +514,7 @@ def test_coupled_run_on_a_shared_tape_equals_run_drawing_its_own(family):
     tape = _draw_tape(coeffs, levy, GRID, CTX, INIT, 24)
     # the strong replication's pass: every count's system on its prefix, the limit copies on the whole tape
     *inters, limit = _simulate_system(coeffs, levy, GRID, [(tape.head(8), None), (tape, None), (tape, ref.flow)],
-                                      SolverConfig(), collect_states=True, record_paths=True)
+                                      SolverConfig())
     for n, inter in zip((8, 24), inters):
         own = simulate_coupled(coeffs, n, INIT, levy, GRID, CTX, ref.flow, record_paths=True)
         shared = _coupled(inter, limit.head(n))
@@ -609,11 +619,10 @@ def test_stacked_pass_equals_each_block_run_alone(case):
     assert tape.big.row.size and other.big.row.size
     # interacting and flow blocks of different sizes, on prefixes of one tape and on a second tape
     blocks = [(tape.head(5), None), (tape, flow), (other, None), (tape, None), (tape.head(9), flow)]
-    options = dict(common=common, collect_clouds=True, collect_states=True, record_paths=True)
-    stacked = _simulate_system(coeffs, levy, grid, blocks, SolverConfig(), **options)
+    stacked = _simulate_system(coeffs, levy, grid, blocks, SolverConfig(), common=common)
     assert len(stacked) == len(blocks)
     for block, run in zip(blocks, stacked):
-        [alone] = _simulate_system(coeffs, levy, grid, [block], SolverConfig(), **options)
+        [alone] = _simulate_system(coeffs, levy, grid, [block], SolverConfig(), common=common)
         assert run.final.shape[0] == block[0].n and alone._breakpoints.row.size
         _assert_runs_equal(run, alone)
 
@@ -631,10 +640,9 @@ def test_cubic_generic_route_in_a_two_block_pass_equals_its_block_runs(route):
     tape = _draw_tape(coeffs, levy, grid, CTX, INIT, 6)
     assert tape.big.row.size
     blocks = [(tape.head(4), None), (tape, flow)]
-    options = dict(collect_clouds=True, collect_states=True, record_paths=True)
-    stacked = _simulate_system(coeffs, levy, grid, blocks, SolverConfig(), **options)
+    stacked = _simulate_system(coeffs, levy, grid, blocks, SolverConfig())
     for block, run in zip(blocks, stacked, strict=True):
-        _assert_runs_equal(run, _simulate_system(coeffs, levy, grid, [block], SolverConfig(), **options)[0])
+        _assert_runs_equal(run, _simulate_system(coeffs, levy, grid, [block], SolverConfig())[0])
 
 
 def test_stacked_divergence_reports_the_earliest_crossing_within_its_block():
