@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -64,8 +64,16 @@ _GRID_KEYS = {"horizon", "step"}
 _BAND_KEYS = {"rate", "sampler", "params"}
 # kinds that read a common_noise block
 _COMMON_KINDS = ("common-noise", "check-assumptions")
-# solver keys of the fixed-point loop; a rate run's reference is one interacting run, which reads none of them
-_FIXED_POINT_SOLVER_KEYS = ("paths", "max_iter", "flow_metric")
+# solver keys each run reads; any other is rejected by its key path.  A rate run reads only
+# divergence_threshold, but keeps gamma and tol: the benchmark configs set them and its check reads them
+_SOLVER_KEYS = {f.name for f in fields(SolverConfig)}
+_SOLVER_KEYS_READ = {
+    "picard": _SOLVER_KEYS,
+    "moments": {"paths", "divergence_threshold"},
+    "rate": {"gamma", "tol", "divergence_threshold"},
+    "simulate": {"divergence_threshold"},
+    "check-assumptions": set(),
+}
 
 # experiment-block keys each kind accepts (None = no experiment block needed);
 # strong-poc has no eval_time, its statistic is a supremum over the horizon
@@ -285,11 +293,15 @@ def validate_and_build(cfg: dict) -> ExperimentSpec:
             problems.append(f"experiment keys {sorted(unknown)} are not valid for kind {kind!r}")
         problems.extend(_check_experiment(kind, experiment))
         solver_block = cfg.get("solver") or {}
-        rate_run = kind in ("poc", "strong-poc") or (kind == "common-noise" and experiment.get("task") == "poc")
-        if rate_run and isinstance(solver_block, dict):
-            unread = [f"solver.{key}" for key in _FIXED_POINT_SOLVER_KEYS if key in solver_block]
+        if kind == "common-noise":
+            run = "rate" if experiment.get("task") == "poc" else "simulate"
+        else:
+            run = "rate" if kind in ("poc", "strong-poc") else kind
+        if isinstance(solver_block, dict):
+            unread = [f"solver.{key}" for key in solver_block
+                      if key in _SOLVER_KEYS and key not in _SOLVER_KEYS_READ[run]]
             if unread:
-                problems.append(f"{unread}: a {kind!r} rate run does not read these solver keys")
+                problems.append(f"{unread}: a {kind!r} run does not read these solver keys")
 
     if problems:
         raise ConfigurationError(problems)

@@ -14,6 +14,10 @@ assignment problem and can be solved exactly.  Three routes:
 :func:`w_p` picks the exact route by the clouds' dimension; the flow
 distances, the chaos replications and the assumption checker call it.
 
+``scipy.optimize``, home of the assignment solver and slower to import
+than a small run, loads at the first assignment solve: the first exact
+distance at ``d >= 2``, never on a run whose clouds are one-dimensional.
+
 Clouds of different sizes are rejected: producers are expected to match
 particle counts, resampling upstream is the caller's job.
 """
@@ -24,7 +28,6 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigurationError
 from .measures import EmpiricalMeasure, MeasureFlow
@@ -107,6 +110,8 @@ def _lexicographic_tie_pass(cost, perm):
 
 def _assignment(x, y, p):
     """Cost matrix ``|x_i - y_j|^p`` and its optimal permutation, ties ordered lexicographically."""
+    from scipy.optimize import linear_sum_assignment  # see the module docstring
+
     diff = x[:, None, :] - y[None, :, :]
     cost = np.sqrt((diff * diff).sum(axis=2)) ** p
     _, perm = linear_sum_assignment(cost)

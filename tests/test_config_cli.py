@@ -56,7 +56,8 @@ def _quick_cfg(kind="simulate", **overrides):
         },
         "initial": {"kind": "normal", "params": {"mean": 0.0, "std": 1.0}},
         "grid": {"horizon": 1.0, "step": 0.05},
-        "solver": {"paths": 32, "gamma": 2.0, "tol": 1.0e-2, "max_iter": 15},
+        # only a Picard run reads the fixed-point loop's keys
+        "solver": {"paths": 32, "gamma": 2.0, "tol": 1.0e-2, "max_iter": 15} if kind == "picard" else {},
         "experiment": {"n": 16},
     }
     cfg.update(overrides)
@@ -107,7 +108,7 @@ def _reduced(cfg):
     exp = cfg.get("experiment") or {}
     if "n_grid" in exp:
         exp.update(n_grid=[4, 8, 16], replications=2, reference_paths=32)
-    else:
+    elif cfg["kind"] in ("picard", "moments"):
         cfg["solver"] = {**(cfg.get("solver") or {}), "paths": 64}
     for key, value in (("n", 32), ("trials", 200)):
         if key in exp:
@@ -227,6 +228,30 @@ def test_rate_runs_reject_the_fixed_point_solver_keys(kind, key, value):
     cfg = _rate_cfg(kind, replications=2)
     validate_and_build(cfg)
     cfg["solver"][key] = value
+    with pytest.raises(ConfigurationError, match=f"solver.{key}"):
+        validate_and_build(cfg)
+
+
+_SOLVER_VALUES = {"paths": 64, "gamma": 2.0, "tol": 1.0e-2, "max_iter": 5, "flow_metric": "sliced",
+                  "divergence_threshold": 1.0e6}
+_LOOP_KEYS = ["paths", "gamma", "tol", "max_iter", "flow_metric"]
+# solver keys each shipped non-rate, non-Picard config's run never reads
+_UNREAD_SOLVER_KEYS = {
+    "simulate_cubic": _LOOP_KEYS,
+    "common_simulate": _LOOP_KEYS,
+    "check_assumptions_cubic": _LOOP_KEYS + ["divergence_threshold"],
+    "moments_cubic": ["gamma", "tol", "max_iter", "flow_metric"],
+}
+
+
+@pytest.mark.parametrize("name, key", [(name, key) for name, keys in _UNREAD_SOLVER_KEYS.items() for key in keys])
+def test_runs_reject_the_solver_keys_they_do_not_read(name, key):
+    # a simulate run reads only the divergence threshold, a moments run also the cloud size,
+    # and an assumption sweep no solver key at all
+    cfg = load_config(CONFIG_DIR / f"{name}.yaml")
+    read = set(_SOLVER_VALUES) - set(_UNREAD_SOLVER_KEYS[name])
+    validate_and_build({**cfg, "solver": {k: _SOLVER_VALUES[k] for k in read}})
+    cfg["solver"] = {**(cfg.get("solver") or {}), key: _SOLVER_VALUES[key]}
     with pytest.raises(ConfigurationError, match=f"solver.{key}"):
         validate_and_build(cfg)
 
