@@ -64,14 +64,18 @@ _GRID_KEYS = {"horizon", "step"}
 _BAND_KEYS = {"rate", "sampler", "params"}
 # kinds that read a common_noise block
 _COMMON_KINDS = ("common-noise", "check-assumptions")
-# solver keys each run reads; any other is rejected by its key path.  A rate run reads only
-# divergence_threshold, but keeps gamma and tol: the benchmark configs set them and its check reads them
+# solver keys each kind's run reads; any other is rejected by its key path.  A rate run reads only
+# divergence_threshold, but keeps gamma and tol: the benchmark configs set them and its check reads them.
+# common-noise is its simulate task; its poc task is a rate run (runner._run_common)
 _SOLVER_KEYS = {f.name for f in fields(SolverConfig)}
+_RATE_SOLVER_KEYS = {"gamma", "tol", "divergence_threshold"}
 _SOLVER_KEYS_READ = {
-    "picard": _SOLVER_KEYS,
-    "moments": {"paths", "divergence_threshold"},
-    "rate": {"gamma", "tol", "divergence_threshold"},
     "simulate": {"divergence_threshold"},
+    "picard": _SOLVER_KEYS,
+    "poc": _RATE_SOLVER_KEYS,
+    "strong-poc": _RATE_SOLVER_KEYS,
+    "moments": {"paths", "divergence_threshold"},
+    "common-noise": {"divergence_threshold"},
     "check-assumptions": set(),
 }
 
@@ -293,13 +297,11 @@ def validate_and_build(cfg: dict) -> ExperimentSpec:
             problems.append(f"experiment keys {sorted(unknown)} are not valid for kind {kind!r}")
         problems.extend(_check_experiment(kind, experiment))
         solver_block = cfg.get("solver") or {}
-        if kind == "common-noise":
-            run = "rate" if experiment.get("task") == "poc" else "simulate"
-        else:
-            run = "rate" if kind in ("poc", "strong-poc") else kind
+        read = _SOLVER_KEYS_READ[kind]
+        if kind == "common-noise" and experiment.get("task") == "poc":
+            read = _RATE_SOLVER_KEYS
         if isinstance(solver_block, dict):
-            unread = [f"solver.{key}" for key in solver_block
-                      if key in _SOLVER_KEYS and key not in _SOLVER_KEYS_READ[run]]
+            unread = [f"solver.{key}" for key in solver_block if key in _SOLVER_KEYS and key not in read]
             if unread:
                 problems.append(f"{unread}: a {kind!r} run does not read these solver keys")
 

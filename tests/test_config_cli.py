@@ -176,7 +176,7 @@ _BREAKERS = [
     ("unknown-initial", lambda c: c.update(initial={"kind": "dirac_comb"})),
     ("no-grid-step", lambda c: c.update(grid={"horizon": 1.0})),
     ("step-not-dividing", lambda c: c.update(grid={"horizon": 1.0, "step": 0.3})),
-    ("bad-solver-key", lambda c: c.update(solver={"paths": 32, "warp": 9})),
+    ("bad-solver-key", lambda c: c["solver"].update(warp=9)),
     ("foreign-experiment-key", lambda c: c["experiment"].update(n_grid=[4, 8, 16])),
     ("missing-n", lambda c: c.update(experiment={})),
 ]
@@ -221,22 +221,13 @@ def test_record_paths_is_rejected_where_no_output_reads_it(name):
         validate_and_build(cfg)
 
 
-@pytest.mark.parametrize("key, value", [("paths", 64), ("max_iter", 5), ("flow_metric", "sliced")])
-@pytest.mark.parametrize("kind", RATE_KINDS)
-def test_rate_runs_reject_the_fixed_point_solver_keys(kind, key, value):
-    # a rate run's reference is one interacting run: no fixed-point cloud size, pass budget or flow metric
-    cfg = _rate_cfg(kind, replications=2)
-    validate_and_build(cfg)
-    cfg["solver"][key] = value
-    with pytest.raises(ConfigurationError, match=f"solver.{key}"):
-        validate_and_build(cfg)
-
-
 _SOLVER_VALUES = {"paths": 64, "gamma": 2.0, "tol": 1.0e-2, "max_iter": 5, "flow_metric": "sliced",
                   "divergence_threshold": 1.0e6}
 _LOOP_KEYS = ["paths", "gamma", "tol", "max_iter", "flow_metric"]
-# solver keys each shipped non-rate, non-Picard config's run never reads
+# solver keys a run never reads: each rate kind's toy config, and each shipped config of
+# a run that is neither a rate run nor a Picard run
 _UNREAD_SOLVER_KEYS = {
+    **{kind: ["paths", "max_iter", "flow_metric"] for kind in RATE_KINDS},
     "simulate_cubic": _LOOP_KEYS,
     "common_simulate": _LOOP_KEYS,
     "check_assumptions_cubic": _LOOP_KEYS + ["divergence_threshold"],
@@ -244,12 +235,17 @@ _UNREAD_SOLVER_KEYS = {
 }
 
 
-@pytest.mark.parametrize("name, key", [(name, key) for name, keys in _UNREAD_SOLVER_KEYS.items() for key in keys])
-def test_runs_reject_the_solver_keys_they_do_not_read(name, key):
-    # a simulate run reads only the divergence threshold, a moments run also the cloud size,
-    # and an assumption sweep no solver key at all
-    cfg = load_config(CONFIG_DIR / f"{name}.yaml")
-    read = set(_SOLVER_VALUES) - set(_UNREAD_SOLVER_KEYS[name])
+@pytest.mark.parametrize(
+    "run, key",
+    [(run, key) for run, keys in _UNREAD_SOLVER_KEYS.items() for key in keys],
+    ids=lambda param: param if param in _UNREAD_SOLVER_KEYS else f"{param}-{_SOLVER_VALUES[param]}",
+)
+def test_rate_runs_reject_the_fixed_point_solver_keys(run, key):
+    # every run rejects the solver keys it does not read: a rate run's reference is one interacting
+    # run (no fixed-point cloud size, pass budget or flow metric), a simulate run reads only the
+    # divergence threshold, a moments run also the cloud size, and an assumption sweep no solver key
+    cfg = _rate_cfg(run, replications=2) if run in RATE_KINDS else load_config(CONFIG_DIR / f"{run}.yaml")
+    read = set(_SOLVER_VALUES) - set(_UNREAD_SOLVER_KEYS[run])
     validate_and_build({**cfg, "solver": {k: _SOLVER_VALUES[k] for k in read}})
     cfg["solver"] = {**(cfg.get("solver") or {}), key: _SOLVER_VALUES[key]}
     with pytest.raises(ConfigurationError, match=f"solver.{key}"):
