@@ -310,7 +310,6 @@ def no_noise(dim: int) -> LevyModel:
 # ---------------------------------------------------------------------------
 
 
-_CHUNK_ROWS = 1024  # streams whose raw outputs are held at once
 _INVERSION_MEAN = 10.0  # counts of a larger mean are drawn by inversion
 
 
@@ -380,13 +379,16 @@ def _draw_chunk(block, horizon, band):
 
     Every stream draws its count, then its arrival times, then the
     ``uniforms`` blocks of its marks, one block of ``count`` doubles after
-    another.  Returns ``(row, time, mark)`` in (row, time) order.
+    another.  Once the counts are drawn, the rest of every stream's reads
+    is reserved in one call.  Returns ``(row, time, mark)`` in (row, time)
+    order.
     """
     sampler = band.sampler
     out = [_no_events(sampler.dim)]
     counts = _poisson_counts(block, band.rate * horizon)
     hit = np.flatnonzero(counts)
-    for c in np.unique(counts[hit]):
+    block.reserve(hit, counts[hit] * (1 + sampler.uniforms))
+    for c in np.flatnonzero(np.bincount(counts[hit])):  # distinct counts, ascending (np.unique imports numpy.ma)
         rows = hit[counts[hit] == c]
         times = _arrival_times(block.doubles(rows, c), horizon)
         u = block.doubles(rows, sampler.uniforms * c).reshape(rows.size, sampler.uniforms, c)
@@ -403,19 +405,12 @@ def _draw_block_events(keys, horizon, band):
 
     Row ``j`` is stream ``keys[j]`` read as :func:`_draw_chunk`
     describes: one Poisson process over the whole interval, whatever grid
-    a solver later puts on it.  The streams are drawn :data:`_CHUNK_ROWS`
-    at a time, so the raw outputs held at once stay bounded.  Returns
-    ``(row, time, mark)`` in (row, time) order.
+    a solver later puts on it.  All the streams are drawn in one
+    :class:`~levyfield.streams.StreamBlock`, which computes each stream's
+    outputs in 4-word Philox blocks only as far as its draws read.
+    Returns ``(row, time, mark)`` in (row, time) order.
     """
-    lam = band.rate * horizon
-    per_event = 2 + band.sampler.uniforms
-    # enough for nearly every stream of a chunk; a longer one grows the buffer
-    words = int(1 + per_event * (lam + 6.0 * math.sqrt(lam) + 4.0))
-    parts = [_no_events(band.sampler.dim)]
-    for a in range(0, keys.shape[0], _CHUNK_ROWS):
-        row, time, mark = _draw_chunk(StreamBlock(keys[a:a + _CHUNK_ROWS], words), horizon, band)
-        parts.append((row + a, time, mark))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    return _draw_chunk(StreamBlock(keys), horizon, band)
 
 
 # ---------------------------------------------------------------------------

@@ -399,11 +399,11 @@ def _draw_tape(
     d = coeffs.dim
     if levy.dim != d:
         raise ConfigurationError(f"noise dim {levy.dim} != coefficient dim {d}")
-    ids = list(particle_ids) if particle_ids is not None else list(range(n))
-    if len(ids) != n:
-        raise ConfigurationError(f"{n} particles but {len(ids)} particle ids")
+    ids = np.arange(n) if particle_ids is None else np.asarray(particle_ids)
+    if ids.size != n:
+        raise ConfigurationError(f"{n} particles but {ids.size} particle ids")
     if isinstance(initial, InitialLaw):
-        block = StreamBlock(stream_ctx.keys(ids, Layer.INIT), initial.uniforms)
+        block = StreamBlock(stream_ctx.keys(ids, Layer.INIT))
         x0 = initial.from_uniforms(block.doubles(np.arange(n), initial.uniforms).T)
     else:
         x0 = np.array(initial, dtype=float).reshape(n, d)

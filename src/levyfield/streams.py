@@ -14,10 +14,10 @@ Addresses outside those bounds are configuration errors.
 A stream is numpy's ``Philox`` (Philox4x64-10, Salmon et al., SC'11)
 keyed by its address: raw output ``i`` is word ``i % 4`` of the cipher
 applied to counter ``i // 4 + 1``, and ``random()`` turns one output
-into a double.  :func:`philox_words` computes those outputs for many keys
-at once in numpy, so a :class:`StreamBlock` reads the streams of a whole
-block of particles, one cursor per stream, without building a generator
-per particle.
+into a double.  :func:`philox_blocks`, the one place those outputs are
+computed, makes the 4-word blocks of many ``(key, counter)`` pairs at
+once, so a :class:`StreamBlock` reads the streams of a whole block of
+particles, one cursor per stream, computing each only as far as it reads.
 
 :data:`STREAM_SCHEME` names the map from addresses to draws.  Under
 scheme 3, every draw of a particle or common layer (INIT, SMALL, BIG,
@@ -55,11 +55,13 @@ MAX_PARTICLE = (1 << _PARTICLE_BITS) - 1
 # which draw each address yields; bumped whenever that map changes
 STREAM_SCHEME = 3
 
-# Philox4x64-10 constants: round multipliers and key increments
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
-_LOW32 = np.uint64(0xFFFFFFFF)
-_32 = np.uint64(32)
+_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# Philox4x64-10 constants, one row per lane (x0, x2): round multipliers, whole and
+# in 32-bit halves (literals, so importing runs no ufunc), and key increments
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_HI = np.array([[0xD2E7470E], [0xCA5A8263]], dtype=np.uint64)
+_PHILOX_M_LO = np.array([[0xE14C6C93], [0x95121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 
 
 class Layer(IntEnum):
@@ -189,66 +191,69 @@ class StreamContext:
 # ---------------------------------------------------------------------------
 
 
-def _mulhilo(a, m):
-    """High and low words of the 128-bit product ``a * m``, in 32-bit halves."""
-    a_lo, a_hi = a & _LOW32, a >> _32
-    m_lo, m_hi = m & _LOW32, m >> _32
-    lh, hl = a_lo * m_hi, a_hi * m_lo
-    mid = (a_lo * m_lo >> _32) + (lh & _LOW32) + (hl & _LOW32)
-    return a_hi * m_hi + (lh >> _32) + (hl >> _32) + (mid >> _32), a * m
+def philox_blocks(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of counter ``(counters[i], 0, 0, 0)`` under key ``keys[i]``, as ``(m, 4)`` uint64.
 
-
-def philox_words(keys: np.ndarray, first_block: int, n_blocks: int) -> np.ndarray:
-    """Raw outputs ``4 * first_block .. 4 * (first_block + n_blocks) - 1`` of each key's stream.
-
-    ``keys`` is ``(n, 2)`` uint64; the result is ``(n, 4 * n_blocks)``
-    uint64, bit-equal to ``numpy.random.Philox(key=key).random_raw`` at
-    those positions.
+    ``keys`` is ``(m, 2)`` uint64 and ``counters`` ``(m,)``.  Counter
+    ``c`` is block ``c - 1`` of the key's stream: bit-equal to
+    ``numpy.random.Philox(key=key, counter=[c - 1, 0, 0, 0]).random_raw(4)``.
+    The two multiplied words of a round, ``x0`` and ``x2``, run as one
+    ``(2, m)`` lane array, and so do ``x1`` and ``x3``.
     """
-    shape = (keys.shape[0], n_blocks)
-    x0 = np.broadcast_to(np.arange(first_block + 1, first_block + n_blocks + 1, dtype=np.uint64), shape)
-    x1 = x2 = x3 = np.zeros(shape, dtype=np.uint64)
-    k0, k1 = keys[:, :1], keys[:, 1:]
-    with np.errstate(over="ignore"):
-        for r in range(10):
-            if r:
-                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-            hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
-            hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
-            x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    return np.stack([x0, x1, x2, x3], axis=2).reshape(keys.shape[0], 4 * n_blocks)
+    mul = np.stack([counters, np.zeros_like(counters)])
+    add = np.zeros_like(mul)
+    key = keys.T.copy()
+    for _ in range(10):
+        # high words of the 128-bit products of the lanes and their multipliers, from 32-bit halves
+        a_lo, a_hi = mul & _LOW32, mul >> _32
+        t = a_hi * _PHILOX_M_LO + (a_lo * _PHILOX_M_LO >> _32)
+        mid = a_lo * _PHILOX_M_HI + (t & _LOW32)
+        hi = a_hi * _PHILOX_M_HI + (t >> _32) + (mid >> _32)
+        # x0, x2 = hi1 ^ x1 ^ k0, hi0 ^ x3 ^ k1 and x1, x3 = lo1, lo0
+        mul, add = hi[::-1] ^ add ^ key, (mul * _PHILOX_M)[::-1]
+        key += _PHILOX_W
+    return np.stack([mul[0], add[0], mul[1], add[1]], axis=1)
 
 
 class StreamBlock:
     """The raw outputs of many streams, read through one cursor per stream.
 
-    Row ``j`` is the stream keyed by ``keys[j]``.  The first ``words``
-    outputs of every stream are computed up front and the buffer grows
-    when a cursor runs past it.  :meth:`doubles` reproduces numpy's
+    Row ``j`` is the stream keyed by ``keys[j]``.  Each stream's outputs
+    are computed in 4-word Philox blocks only as far as its reads reach,
+    and held one row after another.  :meth:`doubles` reproduces numpy's
     ``random()``, the only read a stream of a particle or common layer
-    has.
+    has; :meth:`reserve` computes reads to come in one kernel call.
     """
 
-    def __init__(self, keys: np.ndarray, words: int = 0):
+    def __init__(self, keys: np.ndarray):
         self.keys = keys
         self.pos = np.zeros(keys.shape[0], dtype=np.int64)
-        self._raw = philox_words(keys, 0, -(-words // 4))
+        self.blocks = np.zeros_like(self.pos)  # blocks computed per row
+        self._first = np.zeros_like(self.pos)  # row of ``_held`` holding each stream's block 0
+        self._held = np.empty((0, 4), dtype=np.uint64)
 
     @property
     def size(self) -> int:
         return self.keys.shape[0]
 
+    def reserve(self, rows: np.ndarray, words) -> None:
+        """Compute, in one kernel call, what the (distinct) ``rows`` lack of their next ``words`` outputs."""
+        extra = -(-(self.pos[rows] + words) // 4) - self.blocks[rows]
+        rows, extra = rows[extra > 0], extra[extra > 0]
+        if rows.size:
+            # counters blocks + 1 .. blocks + extra of each row, held right after the blocks it has
+            counters = np.arange(1, extra.sum() + 1) + np.repeat(self.blocks[rows] + extra - np.cumsum(extra), extra)
+            fresh = philox_blocks(self.keys[np.repeat(rows, extra)], counters.astype(np.uint64))
+            self._held = np.insert(self._held, np.repeat(self._first[rows] + self.blocks[rows], extra), fresh, axis=0)
+            self.blocks[rows] += extra
+            self._first = np.cumsum(self.blocks) - self.blocks
+
     def doubles(self, rows: np.ndarray, count: int) -> np.ndarray:
         """The next ``count`` doubles of each of the (distinct) ``rows``, as ``(rows, count)``."""
-        at = self.pos[rows, None] + np.arange(count)
-        need = int(at.max()) + 1 if at.size else 0
-        have = self._raw.shape[1]
-        if need > have:
-            grow = -(-max(need, have + 32) // 4) - have // 4
-            self._raw = np.concatenate([self._raw, philox_words(self.keys, have // 4, grow)], axis=1)
+        self.reserve(rows, count)
+        at = (4 * self._first[rows] + self.pos[rows])[:, None] + np.arange(count)
         self.pos[rows] += count
-        words = np.take(self._raw, at + (rows * self._raw.shape[1])[:, None])
-        return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+        return (self._held.reshape(-1)[at] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
 def standard_normals(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:

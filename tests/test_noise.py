@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from levyfield import noise
+from levyfield import streams
 from levyfield.errors import ConfigurationError, IntegrabilityError
 from levyfield.noise import (
     _draw_block_events,
@@ -26,7 +26,7 @@ from levyfield.noise import (
 )
 from levyfield.coefficients import build_linear_meanfield
 from levyfield.solver import TimeGrid, _draw_tape, _Events
-from levyfield.streams import Layer, NoiseStream, StreamBlock, StreamContext
+from levyfield.streams import Layer, NoiseStream, StreamBlock, StreamContext, philox_blocks
 
 from levyfield_testkit import make_levy
 
@@ -240,9 +240,7 @@ _SAMPLERS = [
 # on (0, 1] the means are 0.5, 30 and 900; on (0, 0.01] they are 0.005, 0.3 and 9,
 # so both the multiplication (below 10) and the inversion are reached
 @pytest.mark.parametrize("rate", [0.5, 30.0, 900.0])
-def test_block_events_equal_reading_each_stream_alone(rate, monkeypatch):
-    # several chunks of streams, so rows are renumbered across chunks
-    monkeypatch.setattr(noise, "_CHUNK_ROWS", 8)
+def test_block_events_equal_reading_each_stream_alone(rate):
     ctx = StreamContext(seed=17)
     ids = np.arange(20)
     for sampler in _SAMPLERS:
@@ -257,6 +255,30 @@ def test_block_events_equal_reading_each_stream_alone(rate, monkeypatch):
                 assert np.array_equal(time[row == j], want_time)
                 assert np.array_equal(mark[row == j], want_mark)
                 assert block.pos[j] == reads
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.5, 30.0, 900.0])
+def test_streams_compute_only_the_blocks_their_draws_read(rate, monkeypatch):
+    # every Philox block a stream computes is one of its reads' blocks, and none is computed twice
+    computed = []
+
+    def counting(keys, counters):
+        computed.append((keys[:, 1].copy(), counters.copy()))
+        return philox_blocks(keys, counters)
+
+    monkeypatch.setattr(streams, "philox_blocks", counting)
+    keys = StreamContext(seed=23).keys(np.arange(20), Layer.SMALL)
+    for sampler in _SAMPLERS:
+        computed.clear()
+        block = StreamBlock(keys)
+        _draw_chunk(block, 1.0, LevyBand(rate, sampler))
+        if rate == 0.0:
+            assert computed == [] and not block.pos.any()
+            continue
+        ids, counters = (np.concatenate(column) for column in zip(*computed))
+        for key, pos in zip(keys, block.pos):
+            assert np.array_equal(np.sort(counters[ids == key[1]]), np.arange(1, -(-pos // 4) + 1))
+        assert np.array_equal(block.blocks, -(-block.pos // 4))
 
 
 def _poisson_chi2(counts, lam):

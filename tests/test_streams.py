@@ -15,7 +15,7 @@ from levyfield.streams import (
     NoiseStream,
     StreamBlock,
     StreamContext,
-    philox_words,
+    philox_blocks,
     standard_normals,
 )
 
@@ -95,9 +95,18 @@ def test_vectorized_philox_matches_numpy():
     keys[::2, 0] |= np.uint64(1 << 63)  # top bits set in either word
     keys[1::2, 1] |= np.uint64(0xFFFF << 48)
     keys[0] = [2**64 - 1, 2**64 - 1]
-    words = philox_words(keys, 2, 3)
-    for key, got in zip(keys, words):
-        assert np.array_equal(got, np.random.Philox(key=key).random_raw(20)[8:])
+    # ragged, repeated and non-monotone counters, across and far past 2**32
+    fixed = [1, 1, 9, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 7, 2**40 + 7, 3, 2**63, 2**64 - 1]
+    drawn = rng.integers(1, 2**48, size=64 - len(fixed), dtype=np.uint64)
+    counters = np.concatenate([np.array(fixed, dtype=np.uint64), drawn])
+    keys[2] = keys[1]  # one key at one counter twice
+    keys[3:6] = keys[6]  # one key at descending counters
+    counters[3:6] = [12, 5, 4]
+    words = philox_blocks(keys, counters)
+    assert words.shape == (64, 4) and words.dtype == np.uint64
+    for key, c, got in zip(keys, counters, words):
+        assert np.array_equal(got, np.random.Philox(key=key, counter=int(c) - 1).random_raw(4))
+    assert philox_blocks(keys[:0], counters[:0]).shape == (0, 4)
 
 
 def test_keys_are_the_streams_philox_keys_and_enforce_bounds():
@@ -117,16 +126,22 @@ def test_keys_are_the_streams_philox_keys_and_enforce_bounds():
 def test_block_reads_each_stream_as_its_own_generator_would():
     ctx = StreamContext(seed=9, experiment=EXP_REFERENCE, replica=4)
     keys = ctx.keys(range(6), Layer.BIG)
-    block = StreamBlock(keys, words=8)
+    block = StreamBlock(keys)
+    assert not block.blocks.any()  # nothing is computed before a read
     rows = np.array([1, 4])
     first = block.doubles(rows, 3)
-    middle = block.doubles(rows[1:], 5)  # one cursor moves, the other stays
-    later = block.doubles(rows, 40)  # past the buffer: it grows
+    middle = block.doubles(rows[1:], 5)  # row 4 grows past its block
+    inside = block.doubles(rows[:1], 1)  # row 1 reads on inside its block
+    assert list(block.blocks) == [0, 1, 0, 0, 2, 0]
+    later = block.doubles(rows, 40)  # both grow
+    assert list(block.blocks) == [0, 11, 0, 0, 12, 0]
     for j, row in enumerate(rows):
         gen = ctx.generator(int(row), Layer.BIG)
         assert np.array_equal(first[j], gen.random(3))
         if row == 4:
             assert np.array_equal(middle[0], gen.random(5))
+        else:
+            assert inside[0, 0] == gen.random()
         assert np.array_equal(later[j], gen.random(40))
     assert block.doubles(np.array([0]), 1)[0, 0] == ctx.generator(0, Layer.BIG).random()
 
